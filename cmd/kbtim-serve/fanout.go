@@ -889,8 +889,6 @@ func (f *fanout) RouterStats(ctx context.Context) *routerStatsJSON {
 				ArtifactFetches: ws.Fetches,
 				WireBytes:       ws.Bytes,
 				BatchedUnits:    ws.BatchedUnits,
-				WireBytesBatch:  ws.BatchBytes,
-				WireBytesUnit:   ws.Bytes - ws.BatchBytes,
 			}
 			if raw := f.scrapeStats(ctx, n); raw != nil {
 				b.Stats = raw

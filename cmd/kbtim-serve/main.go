@@ -26,7 +26,7 @@
 // replicas of one shard). Queries whose topics co-locate on one group are
 // proxied whole to a healthy replica of it; spanning queries run the exact
 // scatter-gather merge locally with every keyword's artifact fetch going to
-// its owning group over the versioned /internal/artifact protocol (results
+// its owning group over the batched /internal/artifacts protocol (results
 // stay bit-identical to one engine — see DESIGN.md §6.2). Per-replica
 // circuit breakers feed on both passive traffic outcomes and the /healthz
 // probe loop; failed proxies and artifact fetches retry on a surviving
@@ -50,7 +50,8 @@
 //	               per-backend router sections)
 //	GET  /healthz  liveness (a router is healthy while every shard keeps
 //	               >= 1 healthy replica)
-//	GET  /internal/artifact  raw index artifacts for routers (serve mode)
+//	POST /internal/artifacts raw index artifacts for routers, one batch
+//	               of named units per request (serve mode)
 //
 // The server shuts down gracefully: SIGINT/SIGTERM stops accepting new
 // connections and drains in-flight queries (up to -drain), then exits 0.

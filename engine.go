@@ -719,9 +719,10 @@ func (e *Engine) QueryIRRStreamCtx(ctx context.Context, q Query, so StreamOption
 // concurrent Open/Close cannot pull the file out from under the fetch.
 //
 // Unknown kinds and kinds with no index attached wrap remote.ErrNoArtifact
-// — "this node does not serve that" (HTTP 404, what routers probe index
-// kinds with) — while a closed engine or a failed read is a plain error
-// (HTTP 500): callers must be able to tell "look elsewhere" from "retry".
+// — "this node does not serve that" (a not-served record, what routers
+// probe index kinds with) — while a closed engine or a failed read is a
+// plain error (a failed record): callers must be able to tell "look
+// elsewhere" from "retry".
 func (e *Engine) ArtifactBytes(kind, unit string, topic int, aux int64) ([]byte, int64, error) {
 	if kind != "rr" && kind != "irr" {
 		return nil, 0, fmt.Errorf("%w: unknown index kind %q (want rr or irr)", remote.ErrNoArtifact, kind)

@@ -43,10 +43,10 @@ type RouterThroughputPoint struct {
 	// this point (zero for the local topologies; proxied query traffic is
 	// not artifact wire and is excluded).
 	WireKB float64
-	// RoundTripsPerQuery is the mean artifact wire requests (batch POSTs and
-	// per-unit GETs alike) per query of this point — the latency currency
-	// batching spends down: per-unit fetching pays one round trip per
-	// keyword-partition, batching one per backend per planning round.
+	// RoundTripsPerQuery is the mean artifact wire requests per query of
+	// this point — the latency currency batching spends down: fetching one
+	// unit per request pays one round trip per keyword-partition, batching
+	// one per backend per planning round.
 	RoundTripsPerQuery float64
 }
 
@@ -242,9 +242,7 @@ func RunRouterThroughput(ctx context.Context, env *Env, f Family) ([]RouterThrou
 			return nil, err
 		}
 		mux := http.NewServeMux()
-		src := remote.IndexSource{IRR: servedIdx}
-		mux.Handle(remote.ArtifactPath, remote.NewHandler(src))
-		mux.Handle(remote.BatchPath, remote.NewBatchHandler(src))
+		mux.Handle(remote.BatchPath, remote.NewBatchHandler(remote.IndexSource{IRR: servedIdx}))
 		mux.Handle("/query", benchQueryHandler(servedIdx))
 		srv := httptest.NewServer(mux)
 		defer srv.Close()

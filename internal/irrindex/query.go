@@ -35,10 +35,10 @@ type Index struct {
 	hdr     Header
 	dirs    map[int]*KeywordDir
 	r       diskio.Segmented
-	prelude int64           // header+directory byte length (the UnitDir artifact)
-	dec     *objcache.Cache // optional decoded-object cache, set before first Query
-	par     int             // per-query artifact-load parallelism, set before first Query
-	fetch   Fetcher         // optional remote artifact source, set before first Query
+	prelude int64            // header+directory byte length (the UnitDir artifact)
+	dec     *objcache.Cache  // optional decoded-object cache, set before first Query
+	par     int              // per-query artifact-load parallelism, set before first Query
+	fetch   artifact.Fetcher // optional remote artifact source, set before first Query
 }
 
 // Artifact units of the IRR index, as named by the cross-node fetch protocol
@@ -55,33 +55,9 @@ const (
 	UnitPart = "part"
 )
 
-// Fetcher returns the raw bytes of one named artifact of this index — the
-// pluggable byte source that lets an Index be backed by a remote node
-// instead of a local file. Implementations must return exactly the bytes
-// the local file holds for that unit (ArtifactBytes on the serving side is
-// the canonical producer), so decoded artifacts — and therefore query
-// results — are bit-identical to a local open of the same file.
-type Fetcher interface {
-	Fetch(ctx context.Context, unit string, topic int, aux int64) ([]byte, error)
-}
-
-// BatchFetcher is an optional Fetcher upgrade: one call moves a whole round
-// of artifacts in (ideally) one wire round trip. FetchBatch must return
-// exactly len(reqs) replies in request order, isolating failures per unit;
-// each successful payload obeys the same bit-identity contract as Fetch.
-// When the NRA query loop finds a BatchFetcher behind a remote index, each
-// fetch round plans its needs — every keyword's next partition plus the
-// speculative lookahead — and moves them in one batch per owning backend;
-// per-unit Fetch remains the fallback for everything else, so results are
-// byte-identical either way.
-type BatchFetcher interface {
-	Fetcher
-	FetchBatch(ctx context.Context, reqs []artifact.Request) []artifact.Reply
-}
-
 // ErrNoArtifact marks an artifact request whose NAME does not resolve on
 // this index — unknown unit, unindexed keyword, out-of-range partition.
-// Serving layers map it to "not served here" (HTTP 404), as distinct from
+// Serving layers map it to a "not served here" record, as distinct from
 // a resolvable artifact whose read failed (a real server error).
 var ErrNoArtifact = errors.New("irrindex: no such artifact")
 
@@ -155,7 +131,7 @@ func (idx *Index) SetQueryParallelism(n int) { idx.par = n }
 // attached, still fronts those fetches, so hot keywords skip the wire). Must
 // be called before the index is shared between goroutines (i.e. right after
 // Open); pass nil to go back to local reads.
-func (idx *Index) SetFetcher(f Fetcher) { idx.fetch = f }
+func (idx *Index) SetFetcher(f artifact.Fetcher) { idx.fetch = f }
 
 // Size returns the total byte length of the underlying index file (for a
 // remote-backed index, the size the serving node advertised).
@@ -187,42 +163,15 @@ func (idx *Index) ArtifactBytes(unit string, topic int, aux int64) ([]byte, erro
 	}
 }
 
-// artifact returns one artifact's raw bytes for a query: from the remote
-// fetcher when the index is remote-backed (recording the transfer in the
-// query's I/O scope, so wire bytes surface in the usual I/O stats), else one
-// ReadSegment against the local reader. off/length locate the unit in the
-// file — the fetched payload must be exactly that long, a cheap end-to-end
-// check that the remote node serves the same index this directory describes.
+// artifact returns one artifact's raw bytes for a query: one ReadSegment
+// against the local reader, or — when the index is remote-backed — the
+// shared stash-or-fetch choke point (artifact.Read). off/length locate the
+// unit in the file.
 func (idx *Index) artifact(ctx context.Context, r diskio.Segmented, unit string, topic int, aux, off, length int64) ([]byte, error) {
 	if idx.fetch == nil {
 		return r.ReadSegment(off, length)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// A batch-planned round has already moved this unit over the wire; the
-	// stash rides the query's reader, and consuming an entry (Take removes
-	// it) is the moment its transfer lands in the I/O stats.
-	if st, ok := r.(*artifact.Stashed); ok {
-		if b, ok := st.S.Take(artifact.Request{Unit: unit, Topic: topic, Aux: aux}); ok {
-			if int64(len(b)) != length {
-				return nil, fmt.Errorf("irrindex: remote %s artifact for keyword %d is %d bytes, directory says %d",
-					unit, topic, len(b), length)
-			}
-			r.Counter().Record(off, len(b))
-			return b, nil
-		}
-	}
-	b, err := idx.fetch.Fetch(ctx, unit, topic, aux)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(b)) != length {
-		return nil, fmt.Errorf("irrindex: remote %s artifact for keyword %d is %d bytes, directory says %d",
-			unit, topic, len(b), length)
-	}
-	r.Counter().Record(off, len(b))
-	return b, nil
+	return artifact.Read(ctx, idx.fetch, r, artifact.Request{Unit: unit, Topic: topic, Aux: aux}, off, length)
 }
 
 // Header returns the index-wide metadata.
@@ -722,7 +671,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	// from here on each fetch round PLANS its needs (all keywords' next
 	// partitions plus the speculative lookahead), groups them by owning
 	// index, and moves them in one batch round trip per backend. Local
-	// indexes and plain fetchers make this a no-op.
+	// indexes make this a no-op.
 	wp := newWirePlanner(states, spec)
 	wp.planInitial(ctx, states)
 	if spec && len(states) > 1 {
@@ -1008,24 +957,20 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 const specLookahead = 4
 
 // wirePlanner batches the query's wire needs per fetch round: one stash per
-// remote batch-capable index, shared by all of that index's keywords and by
-// the per-unit decode path that consumes it (see Index.artifact).
+// remote index, shared by all of that index's keywords and by the per-unit
+// decode path that consumes it (see artifact.Read).
 type wirePlanner struct {
 	stashes map[*Index]*artifact.Stash
 	spec    bool
 }
 
-// newWirePlanner prepares a stash for every involved index whose fetcher is
-// batch-capable and reroutes those keywords' reads through a stash-carrying
-// reader. Queries over local indexes (or plain fetchers) get a planner whose
-// every method is a no-op.
+// newWirePlanner prepares a stash for every involved remote index and
+// reroutes those keywords' reads through a stash-carrying reader. Queries
+// over local indexes get a planner whose every method is a no-op.
 func newWirePlanner(states []*kwState, spec bool) *wirePlanner {
 	wp := &wirePlanner{spec: spec}
 	for _, st := range states {
 		if st.idx.fetch == nil {
-			continue
-		}
-		if _, ok := st.idx.fetch.(BatchFetcher); !ok {
 			continue
 		}
 		stash := wp.stashes[st.idx]
@@ -1137,29 +1082,10 @@ func (wp *wirePlanner) planRound(ctx context.Context, states []*kwState) {
 	wp.issue(ctx, plans)
 }
 
-// issue moves each index's plan in one FetchBatch (concurrently across
-// indexes, so a spanning query's backends are hit in parallel) and stashes
-// every successful payload. Failed units are simply not stashed: the
-// per-unit fetch path retries them with its own failover and surfaces
-// errors with the usual keyword context. Single-unit plans are dropped —
-// one POST saves nothing over one GET.
+// issue moves each index's plan in one FetchBatch into its stash (see
+// artifact.Issue).
 func (wp *wirePlanner) issue(ctx context.Context, plans map[*Index][]artifact.Request) {
-	var wg sync.WaitGroup
-	for ix, reqs := range plans {
-		if len(reqs) < 2 {
-			continue
-		}
-		wg.Add(1)
-		go func(bf BatchFetcher, stash *artifact.Stash, reqs []artifact.Request) {
-			defer wg.Done()
-			for k, rep := range bf.FetchBatch(ctx, reqs) {
-				if rep.Err == nil {
-					stash.Put(reqs[k], rep.Payload)
-				}
-			}
-		}(ix.fetch.(BatchFetcher), wp.stashes[ix], reqs)
-	}
-	wg.Wait()
+	artifact.Issue(ctx, plans, func(ix *Index) (artifact.Fetcher, *artifact.Stash) { return ix.fetch, wp.stashes[ix] })
 }
 
 // loadIP attaches a keyword's first-occurrence table to st, through the

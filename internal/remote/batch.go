@@ -3,10 +3,8 @@ package remote
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,39 +13,7 @@ import (
 	"kbtim/internal/artifact"
 )
 
-// Protocol (version 2) — the batched companion to the per-unit GET. One POST
-// moves a whole fetch round:
-//
-//	POST <BatchPath>
-//	{"kind":"rr","units":[{"unit":"sets","topic":3,"aux":7}, ...]}
-//
-//	200 → X-Kbtim-Artifact-Version: 2, X-Kbtim-Index-Size: <file bytes of
-//	      the first successfully served unit, 0 if none>, and a body with
-//	      one record per requested unit IN REQUEST ORDER:
-//
-//	        status byte | uvarint length | payload
-//
-//	      status 0 = ok (payload is the stored artifact bytes verbatim),
-//	      1 = not served on this node (payload is the error text; terminal,
-//	      the name resolves the same way on every replica), 2 = failed
-//	      (payload is the error text; retryable on another replica).
-//	      Failures are isolated per unit: one missing keyword never fails
-//	      the round's other fetches.
-//	404/405 → the node predates the batch protocol. The client remembers
-//	      (per backend) and serves every later round per-unit over v1, so
-//	      mixed-version fleets keep working.
-//	400 → malformed batch request.
-//
-// The record stream is strictly ordered and length-prefixed, so a client
-// whose connection dies mid-body keeps every fully parsed record and can
-// re-issue just the unserved remainder to the next replica.
 const (
-	// BatchVersion is the batched artifact protocol version.
-	BatchVersion = 2
-	// BatchPath is the conventional mount point of the batch handler on a
-	// kbtim-serve node.
-	BatchPath = "/internal/artifacts"
-
 	// Per-unit status bytes in a batch reply.
 	batchOK        = 0
 	batchNotServed = 1
@@ -58,18 +24,13 @@ const (
 	maxBatchUnits = 4096
 	// maxBatchBody bounds the JSON request body the handler will read.
 	maxBatchBody = 1 << 20
-)
-
-// errBatchUnsupported reports that the backend does not speak the batch
-// protocol (it answered 404/405 to BatchPath). Callers fall back to per-unit
-// v1 fetches; the client caches the verdict so the probe happens once.
-var errBatchUnsupported = errors.New("remote: node does not speak the batch protocol")
-
-// Client.batchMode states (atomic).
-const (
-	batchUnknown     = 0 // not probed yet: try a batch, learn from the answer
-	batchUnsupported = 1 // node answered 404/405: v1 per-unit only
-	batchSupported   = 2 // node served a batch: keep batching
+	// maxArtifactBytes caps one artifact in a reply. Artifacts are bounded
+	// by the index file, so the cap only guards against a confused or
+	// hostile peer streaming forever.
+	maxArtifactBytes = 1 << 30
+	// payloadChunk is the first buffer a payload gets when the reply does
+	// not declare its length; see readPayload.
+	payloadChunk = 64 << 10
 )
 
 // batchUnitJSON / batchRequestJSON are the POST body shape.
@@ -84,10 +45,10 @@ type batchRequestJSON struct {
 	Units []batchUnitJSON `json:"units"`
 }
 
-// NewBatchHandler returns the HTTP handler serving batched artifact requests
-// from src — mount it at BatchPath, next to the v1 handler. Every requested
-// unit is answered in order with its own status record, so a unit that does
-// not resolve (or whose read fails) degrades that unit alone.
+// NewBatchHandler returns the HTTP handler serving src's artifacts — mount
+// it at BatchPath. Every requested unit is answered in order with its own
+// status record, so a unit that does not resolve (or whose read fails)
+// degrades that unit alone.
 func NewBatchHandler(src Source) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -139,94 +100,48 @@ func NewBatchHandler(src Source) http.Handler {
 		h.Set(headerVersion, strconv.Itoa(BatchVersion))
 		h.Set(headerIndexSize, strconv.FormatInt(size, 10))
 		h.Set("Content-Length", strconv.Itoa(body.Len()))
+		w.WriteHeader(http.StatusOK)
 		body.WriteTo(w)
 	})
 }
 
-// FetchBatch retrieves a whole round of artifacts of one kind in a single
-// round trip, returning one reply per request in order plus the index file
-// size the node advertised (0 when no unit succeeded). Per-unit failures are
-// carried in the replies, not the error.
-//
-// A non-nil error means the round trip itself failed; the returned replies
-// are then the fully parsed PREFIX (possibly empty) of the response, so the
-// caller can re-issue just the unserved remainder elsewhere. A backend that
-// does not speak the protocol yields errBatchUnsupported exactly once and is
-// remembered; callers then serve the round per-unit over v1.
-func (c *Client) FetchBatch(ctx context.Context, kind string, reqs []artifact.Request) ([]artifact.Reply, int64, error) {
-	if len(reqs) == 0 {
-		return nil, 0, nil
-	}
-	if c.batchMode.Load() == batchUnsupported {
-		return nil, 0, errBatchUnsupported
-	}
-	units := make([]batchUnitJSON, len(reqs))
-	for i, r := range reqs {
-		units[i] = batchUnitJSON{Unit: r.Unit, Topic: r.Topic, Aux: r.Aux}
-	}
-	body, err := json.Marshal(batchRequestJSON{Kind: kind, Units: units})
-	if err != nil {
-		return nil, 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.batchBase, bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		// No batch endpoint on this node: a v1-only backend. Remember, so a
-		// mixed-version fleet pays this probe once per backend, not per round.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		c.batchMode.Store(batchUnsupported)
-		return nil, 0, errBatchUnsupported
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, 0, fmt.Errorf("remote: batch of %d %s units: %s: %s", len(reqs), kind, resp.Status, bytes.TrimSpace(msg))
-	}
-	if v := resp.Header.Get(headerVersion); v != strconv.Itoa(BatchVersion) {
-		return nil, 0, fmt.Errorf("remote: node answered a batch with artifact protocol %q, this client speaks %d", v, BatchVersion)
-	}
-	size, err := strconv.ParseInt(resp.Header.Get(headerIndexSize), 10, 64)
-	if err != nil || size < 0 {
-		return nil, 0, fmt.Errorf("remote: missing or bad %s header %q", headerIndexSize, resp.Header.Get(headerIndexSize))
-	}
-	c.batchMode.Store(batchSupported)
-	c.fetches.Add(1)
-
-	// Parse the ordered record stream. Any truncation or corruption returns
-	// the fully parsed prefix with the error — the unserved remainder is the
-	// caller's to retry.
+// parseBatchReply reads a batch reply body: one record per request, in
+// request order. avail is the body length the reply declared (its
+// Content-Length), or -1 when it declared none. Any truncation or
+// corruption returns the fully parsed PREFIX with the error — the unserved
+// remainder is the caller's to retry — and a record whose length prefix
+// claims more bytes than the reply declares fails before anything is
+// allocated for it.
+func parseBatchReply(body io.Reader, avail int64, kind string, reqs []artifact.Request) ([]artifact.Reply, error) {
 	replies := make([]artifact.Reply, 0, len(reqs))
-	br := bufio.NewReader(resp.Body)
-	for i := range reqs {
+	br := bufio.NewReader(body)
+	var lenBuf [binary.MaxVarintLen64]byte
+	for i, r := range reqs {
 		status, err := br.ReadByte()
 		if err != nil {
-			return replies, size, fmt.Errorf("remote: batch reply truncated after %d of %d units: %w", i, len(reqs), err)
+			return replies, fmt.Errorf("remote: batch reply truncated after %d of %d units: %w", i, len(reqs), err)
 		}
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
-			return replies, size, fmt.Errorf("remote: batch reply truncated in unit %d of %d: %w", i+1, len(reqs), err)
+			return replies, fmt.Errorf("remote: batch reply truncated in unit %d of %d: %w", i+1, len(reqs), err)
 		}
 		if n > maxArtifactBytes {
-			return replies, size, fmt.Errorf("remote: batch unit exceeds %d-byte cap", int64(maxArtifactBytes))
+			return replies, fmt.Errorf("remote: batch unit exceeds %d-byte cap", int64(maxArtifactBytes))
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return replies, size, fmt.Errorf("remote: batch reply truncated in unit %d of %d: %w", i+1, len(reqs), err)
+		if avail >= 0 {
+			avail -= int64(1 + binary.PutUvarint(lenBuf[:], n))
+			if int64(n) > avail {
+				return replies, fmt.Errorf("remote: batch unit %d of %d claims %d bytes, the reply declares %d more",
+					i+1, len(reqs), n, max(avail, 0))
+			}
+			avail -= int64(n)
 		}
-		r := reqs[i]
+		buf, err := readPayload(br, int64(n), avail >= 0)
+		if err != nil {
+			return replies, fmt.Errorf("remote: batch reply truncated in unit %d of %d: %w", i+1, len(reqs), err)
+		}
 		switch status {
 		case batchOK:
-			c.bytes.Add(int64(n))
-			c.batchBytes.Add(int64(n))
-			c.batchedUnits.Add(1)
 			replies = append(replies, artifact.Reply{Payload: buf})
 		case batchNotServed:
 			replies = append(replies, artifact.Reply{Err: fmt.Errorf("%w: %s %s artifact (topic %d, aux %d): %s",
@@ -235,127 +150,33 @@ func (c *Client) FetchBatch(ctx context.Context, kind string, reqs []artifact.Re
 			replies = append(replies, artifact.Reply{Err: fmt.Errorf("remote: %s %s artifact (topic %d, aux %d): %s",
 				kind, r.Unit, r.Topic, r.Aux, buf)})
 		default:
-			return replies, size, fmt.Errorf("remote: batch unit %d has unknown status %d", i+1, status)
+			return replies, fmt.Errorf("remote: batch unit %d has unknown status %d", i+1, status)
 		}
 	}
-	return replies, size, nil
+	return replies, nil
 }
 
-// FetchBatch implements the index packages' BatchFetcher over one client:
-// one POST when the backend speaks v2, a per-unit v1 loop when it does not,
-// and — after a mid-body failure — per-unit fetches for just the units the
-// parsed prefix did not cover. Always returns len(reqs) replies.
-func (f kindFetcher) FetchBatch(ctx context.Context, reqs []artifact.Request) []artifact.Reply {
-	out := make([]artifact.Reply, len(reqs))
-	replies, _, err := f.c.FetchBatch(ctx, f.kind, reqs)
-	copy(out, replies)
-	if err == nil {
-		return out
+// readPayload reads one n-byte record payload. When the reply declared
+// enough bytes to hold it (declared), the buffer is allocated at once;
+// otherwise it starts at payloadChunk and doubles only as bytes arrive, so
+// a garbled length prefix costs at most about twice what the reply actually
+// carried, never the length it claims.
+func readPayload(r io.Reader, n int64, declared bool) ([]byte, error) {
+	if declared || n <= payloadChunk {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(r, buf)
+		return buf, err
 	}
-	for i := len(replies); i < len(reqs); i++ {
-		if ctx.Err() != nil {
-			out[i] = artifact.Reply{Err: ctx.Err()}
-			continue
+	buf := make([]byte, 0, payloadChunk)
+	for int64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*int64(cap(buf)))), buf...)
 		}
-		b, ferr := f.Fetch(ctx, reqs[i].Unit, reqs[i].Topic, reqs[i].Aux)
-		out[i] = artifact.Reply{Payload: b, Err: ferr}
-	}
-	return out
-}
-
-// FetchBatch retrieves a whole round of artifacts from the replica group in
-// (ideally) one round trip, with whole-batch failover: a replica that fails
-// mid-batch keeps every reply it fully delivered, and only the UNSERVED
-// REMAINDER is re-issued to the next replica. Per-unit semantics match
-// Fetch: a not-served reply is terminal (the name resolves identically on
-// every replica of the shard), a mismatching advertised index size discards
-// that replica's entire answer, and a canceled context stops the rotation
-// without blaming a replica. A v1-only replica serves the remainder through
-// the group's per-unit failover Fetch. Always returns len(reqs) replies.
-func (g *Group) FetchBatch(ctx context.Context, kind string, reqs []artifact.Request) []artifact.Reply {
-	out := make([]artifact.Reply, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	pending := make([]int, len(reqs))
-	for i := range pending {
-		pending[i] = i
-	}
-	order := g.tryOrder(reqs[0].Topic)
-	want := g.recordedSize(kind)
-	var lastErr error
-	for attempt, i := range order {
-		if len(pending) == 0 {
-			return out
-		}
-		sub := make([]artifact.Request, len(pending))
-		for k, pi := range pending {
-			sub[k] = reqs[pi]
-		}
-		replies, size, err := g.clients[i].FetchBatch(ctx, kind, sub)
-		if errors.Is(err, errBatchUnsupported) {
-			// A v1-only replica: serve the remainder per-unit through the
-			// group's own Fetch, which keeps per-unit failover and size
-			// checks intact on mixed-version fleets.
-			for _, pi := range pending {
-				b, _, ferr := g.Fetch(ctx, kind, reqs[pi].Unit, reqs[pi].Topic, reqs[pi].Aux)
-				out[pi] = artifact.Reply{Payload: b, Err: ferr}
-			}
-			return out
-		}
-		if err == nil && size != 0 && want != 0 && size != want {
-			// The replica answered cleanly but serves a DIFFERENT file; none
-			// of its bytes may be used (parity), so the whole sub-batch stays
-			// pending for the next replica.
-			err = fmt.Errorf("%w: advertises a %d-byte %s index, group opened a %d-byte one", ErrReplicaMismatch, size, kind, want)
-			replies = nil
-		}
-		served := false
-		var rest []int
-		for k, pi := range pending {
-			if k < len(replies) {
-				rep := replies[k]
-				if rep.Err == nil {
-					out[pi] = rep
-					served = true
-					continue
-				}
-				if errors.Is(rep.Err, ErrNotServed) {
-					out[pi] = rep
-					continue
-				}
-				lastErr = rep.Err
-			}
-			rest = append(rest, pi)
-		}
-		pending = rest
+		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
 		if err != nil {
-			if ctx.Err() != nil {
-				// The caller gave up; do not blame the replica, do not keep trying.
-				for _, pi := range pending {
-					out[pi] = artifact.Reply{Err: err}
-				}
-				return out
-			}
-			g.observe(i, err)
-			lastErr = err
-		} else {
-			g.observe(i, nil)
-		}
-		if served && attempt > 0 {
-			g.failovers.Add(1)
-		}
-		if len(pending) > 0 && attempt < len(order)-1 {
-			g.retries.Add(1)
+			return nil, err
 		}
 	}
-	for _, pi := range pending {
-		out[pi] = artifact.Reply{Err: fmt.Errorf("remote: all %d replicas failed the batch, last: %w", len(order), lastErr)}
-	}
-	return out
-}
-
-// FetchBatch implements the index packages' BatchFetcher over the group.
-func (f groupFetcher) FetchBatch(ctx context.Context, reqs []artifact.Request) []artifact.Reply {
-	return f.g.FetchBatch(ctx, f.kind, reqs)
+	return buf, nil
 }

@@ -1,46 +1,40 @@
 package remote
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
+	"kbtim/internal/artifact"
 	"kbtim/internal/diskio"
 	"kbtim/internal/irrindex"
 	"kbtim/internal/rrindex"
 )
 
 // ErrNotServed reports that the node answered but does not serve the
-// requested artifact (a 404) — "that node has no such index/keyword", as
-// opposed to the node being unreachable. Routers probe index kinds with it.
+// requested artifact (a not-served reply record) — "that node has no such
+// index/keyword", as opposed to the node being unreachable. Routers probe
+// index kinds with it.
 var ErrNotServed = errors.New("remote: artifact not served")
-
-// maxArtifactBytes caps one artifact response. Artifacts are bounded by the
-// index file, so the cap only guards against a confused or hostile peer
-// streaming forever.
-const maxArtifactBytes = 1 << 30
 
 // WireStats is a snapshot of a client's cumulative transfer counters.
 type WireStats struct {
-	// Fetches is the number of artifact requests (per-unit GETs and batch
-	// POSTs alike) that returned 200.
+	// Fetches is the number of artifact round trips (batch POSTs) that
+	// returned 200.
 	Fetches int64
 	// Bytes is the total payload bytes those fetches carried.
 	Bytes int64
-	// BatchedUnits is the number of artifact units delivered inside batch
-	// replies. BatchedUnits/Fetches is the units-per-request ratio a healthy
-	// batching deployment keeps well above 1.
+	// BatchedUnits is the number of artifact units those fetches delivered.
+	// BatchedUnits/Fetches is the units-per-request ratio; planned rounds
+	// keep it above 1, and a lone one-unit fetch counts 1 unit.
 	BatchedUnits int64
-	// BatchBytes is the slice of Bytes that batch replies carried; the
-	// remainder traveled over per-unit v1 fetches.
-	BatchBytes int64
 }
 
 // Add returns the element-wise sum of two snapshots.
@@ -48,7 +42,6 @@ func (w WireStats) Add(o WireStats) WireStats {
 	w.Fetches += o.Fetches
 	w.Bytes += o.Bytes
 	w.BatchedUnits += o.BatchedUnits
-	w.BatchBytes += o.BatchBytes
 	return w
 }
 
@@ -56,18 +49,12 @@ func (w WireStats) Add(o WireStats) WireStats {
 // concurrent use; every open index created through it shares the client's
 // transfer counters, so a router can report per-backend wire traffic.
 type Client struct {
-	base      string // ".../internal/artifact", no trailing query
-	batchBase string // ".../internal/artifacts"
-	hc        *http.Client
-
-	// batchMode is the learned batch-protocol verdict for this backend
-	// (batchUnknown / batchUnsupported / batchSupported).
-	batchMode atomic.Int32
+	base string // ".../internal/artifacts"
+	hc   *http.Client
 
 	fetches      atomic.Int64
 	bytes        atomic.Int64
 	batchedUnits atomic.Int64
-	batchBytes   atomic.Int64
 }
 
 // NewTransport returns an http.Transport tuned for artifact traffic to a
@@ -88,15 +75,15 @@ func NewTransport(maxIdlePerHost int) *http.Transport {
 }
 
 // NewClient returns a client against the node at base (e.g.
-// "http://host:8080" — ArtifactPath is appended). hc may be nil for a
-// default client with a 30s timeout over a keep-alive transport
-// (NewTransport); routers multiplexing many spanning queries should pass
-// their own shared tuned client.
+// "http://host:8080" — BatchPath is appended). hc may be nil for a default
+// client with a 30s timeout over a keep-alive transport (NewTransport);
+// routers multiplexing many spanning queries should pass their own shared
+// tuned client.
 func NewClient(base string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = &http.Client{Timeout: 30 * time.Second, Transport: NewTransport(0)}
 	}
-	return &Client{base: base + ArtifactPath, batchBase: base + BatchPath, hc: hc}
+	return &Client{base: base + BatchPath, hc: hc}
 }
 
 // Stats returns the cumulative wire counters.
@@ -105,22 +92,34 @@ func (c *Client) Stats() WireStats {
 		Fetches:      c.fetches.Load(),
 		Bytes:        c.bytes.Load(),
 		BatchedUnits: c.batchedUnits.Load(),
-		BatchBytes:   c.batchBytes.Load(),
 	}
 }
 
-// Fetch retrieves one artifact, returning its payload and the index file
-// size the node advertised alongside it.
-func (c *Client) Fetch(ctx context.Context, kind, unit string, topic int, aux int64) ([]byte, int64, error) {
-	q := url.Values{}
-	q.Set("kind", kind)
-	q.Set("unit", unit)
-	q.Set("topic", strconv.Itoa(topic))
-	q.Set("aux", strconv.FormatInt(aux, 10))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"?"+q.Encode(), nil)
+// FetchBatch retrieves a whole round of artifacts of one kind in a single
+// round trip, returning one reply per request in order plus the index file
+// size the node advertised (0 when no unit succeeded). Per-unit failures are
+// carried in the replies, not the error.
+//
+// A non-nil error means the round trip itself failed; the returned replies
+// are then the fully parsed PREFIX (possibly empty) of the response, so the
+// caller can re-issue just the unserved remainder elsewhere.
+func (c *Client) FetchBatch(ctx context.Context, kind string, reqs []artifact.Request) ([]artifact.Reply, int64, error) {
+	if len(reqs) == 0 {
+		return nil, 0, nil
+	}
+	units := make([]batchUnitJSON, len(reqs))
+	for i, r := range reqs {
+		units[i] = batchUnitJSON{Unit: r.Unit, Topic: r.Topic, Aux: r.Aux}
+	}
+	body, err := json.Marshal(batchRequestJSON{Kind: kind, Units: units})
 	if err != nil {
 		return nil, 0, err
 	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base, bytes.NewReader(body))
+	if err != nil {
+		return nil, 0, err
+	}
+	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, 0, err
@@ -128,42 +127,45 @@ func (c *Client) Fetch(ctx context.Context, kind, unit string, topic int, aux in
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		if resp.StatusCode == http.StatusNotFound {
-			return nil, 0, fmt.Errorf("%w: %s %s artifact (topic %d, aux %d): %s",
-				ErrNotServed, kind, unit, topic, aux, strings.TrimSpace(string(msg)))
-		}
-		return nil, 0, fmt.Errorf("remote: %s %s artifact (topic %d, aux %d): %s: %s",
-			kind, unit, topic, aux, resp.Status, msg)
+		return nil, 0, fmt.Errorf("remote: batch of %d %s units: %s: %s", len(reqs), kind, resp.Status, bytes.TrimSpace(msg))
 	}
-	if v := resp.Header.Get(headerVersion); v != strconv.Itoa(Version) {
-		return nil, 0, fmt.Errorf("remote: node speaks artifact protocol %q, this client speaks %d", v, Version)
+	if v := resp.Header.Get(headerVersion); v != strconv.Itoa(BatchVersion) {
+		return nil, 0, fmt.Errorf("remote: node speaks artifact protocol %q, this client speaks %d", v, BatchVersion)
 	}
 	size, err := strconv.ParseInt(resp.Header.Get(headerIndexSize), 10, 64)
-	if err != nil || size <= 0 {
+	if err != nil || size < 0 {
 		return nil, 0, fmt.Errorf("remote: missing or bad %s header %q", headerIndexSize, resp.Header.Get(headerIndexSize))
 	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxArtifactBytes+1))
+	c.fetches.Add(1)
+	replies, err := parseBatchReply(resp.Body, resp.ContentLength, kind, reqs)
+	var served, n int64
+	for _, r := range replies {
+		if r.Err == nil {
+			served++
+			n += int64(len(r.Payload))
+		}
+	}
+	if served > 0 && size == 0 {
+		// Served bytes with no file size to check them against: a remote
+		// open would validate directory offsets against 0.
+		return nil, 0, fmt.Errorf("remote: reply serves %d units but advertises a %s of 0", served, headerIndexSize)
+	}
+	c.bytes.Add(n)
+	c.batchedUnits.Add(served)
+	return replies, size, err
+}
+
+// Fetch retrieves one artifact — a one-unit FetchBatch — returning its
+// payload and the index file size the node advertised alongside it.
+func (c *Client) Fetch(ctx context.Context, kind, unit string, topic int, aux int64) ([]byte, int64, error) {
+	replies, size, err := c.FetchBatch(ctx, kind, []artifact.Request{{Unit: unit, Topic: topic, Aux: aux}})
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(b) > maxArtifactBytes {
-		return nil, 0, fmt.Errorf("remote: artifact exceeds %d-byte cap", int64(maxArtifactBytes))
+	if err := replies[0].Err; err != nil {
+		return nil, 0, err
 	}
-	c.fetches.Add(1)
-	c.bytes.Add(int64(len(b)))
-	return b, size, nil
-}
-
-// kindFetcher binds a client to one index kind, satisfying both
-// rrindex.Fetcher and irrindex.Fetcher (identical shapes).
-type kindFetcher struct {
-	c    *Client
-	kind string
-}
-
-func (f kindFetcher) Fetch(ctx context.Context, unit string, topic int, aux int64) ([]byte, error) {
-	b, _, err := f.c.Fetch(ctx, f.kind, unit, topic, aux)
-	return b, err
+	return replies[0].Payload, size, nil
 }
 
 // stubReader backs a remote-opened index: it serves the already-fetched
@@ -190,35 +192,17 @@ func (s *stubReader) ReadSegment(off, length int64) ([]byte, error) {
 func (s *stubReader) Size() int64              { return s.size }
 func (s *stubReader) Counter() *diskio.Counter { return s.counter }
 
-// OpenRR opens the node's RR index remotely: one "dir" fetch brings the
-// header and keyword directory over (parsed by the exact code a local open
-// runs, including offset validation against the advertised file size), and
-// the returned index fetches every payload artifact through this client.
-// Attach a decoded cache (SetDecodedCache) to keep hot artifacts on this
-// side of the wire.
+// OpenRR opens the node's RR index remotely, as a one-replica Group: one
+// "dir" fetch brings the header and keyword directory over (parsed by the
+// exact code a local open runs, including offset validation against the
+// advertised file size), and the returned index fetches every payload
+// artifact through this client. Attach a decoded cache (SetDecodedCache) to
+// keep hot artifacts on this side of the wire.
 func (c *Client) OpenRR(ctx context.Context) (*rrindex.Index, error) {
-	prelude, size, err := c.Fetch(ctx, KindRR, rrindex.UnitDir, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := rrindex.Open(&stubReader{prelude: prelude, size: size, counter: diskio.NewCounter()})
-	if err != nil {
-		return nil, err
-	}
-	idx.SetFetcher(kindFetcher{c: c, kind: KindRR})
-	return idx, nil
+	return NewGroup([]*Client{c}, nil).OpenRR(ctx)
 }
 
 // OpenIRR opens the node's IRR index remotely; see OpenRR.
 func (c *Client) OpenIRR(ctx context.Context) (*irrindex.Index, error) {
-	prelude, size, err := c.Fetch(ctx, KindIRR, irrindex.UnitDir, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := irrindex.Open(&stubReader{prelude: prelude, size: size, counter: diskio.NewCounter()})
-	if err != nil {
-		return nil, err
-	}
-	idx.SetFetcher(kindFetcher{c: c, kind: KindIRR})
-	return idx, nil
+	return NewGroup([]*Client{c}, nil).OpenIRR(ctx)
 }

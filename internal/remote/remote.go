@@ -13,15 +13,30 @@
 // the same way a serve-side cache fronts the disk: a hot keyword skips the
 // network AND the decode.
 //
-// Protocol (version 1):
+// Protocol (version 2). One POST moves a whole fetch round — any number of
+// units of one kind, one unit being the degenerate case:
 //
-//	GET <path>?kind=rr|irr&unit=dir|sets|inv|ip|part&topic=T&aux=A
+//	POST <BatchPath>
+//	{"kind":"rr","units":[{"unit":"sets","topic":3,"aux":7}, ...]}
 //
-//	200 → raw artifact bytes, exactly as stored in the index file, with
-//	      X-Kbtim-Artifact-Version: 1 and X-Kbtim-Index-Size: <total file
-//	      bytes> (the remote open validates directory offsets against it)
-//	404 → the node serves no such kind/unit/topic
-//	400 → malformed parameters
+//	200 → X-Kbtim-Artifact-Version: 2, X-Kbtim-Index-Size: <file bytes of
+//	      the first successfully served unit, 0 if none> (the remote open
+//	      validates directory offsets against it), and a body with one
+//	      record per requested unit IN REQUEST ORDER:
+//
+//	        status byte | uvarint length | payload
+//
+//	      status 0 = ok (payload is the stored artifact bytes verbatim),
+//	      1 = not served on this node (payload is the error text; terminal,
+//	      the name resolves the same way on every replica), 2 = failed
+//	      (payload is the error text; retryable on another replica).
+//	      Failures are isolated per unit: one missing keyword never fails
+//	      the round's other fetches.
+//	400 → malformed request.
+//
+// The record stream is strictly ordered and length-prefixed, so a client
+// whose connection dies mid-body keeps every fully parsed record and can
+// re-issue just the unserved remainder to the next replica.
 //
 // Because payloads are the stored bytes verbatim and every decode runs with
 // the directory the serving node itself uses, a query over remote indexes
@@ -32,8 +47,6 @@ package remote
 import (
 	"errors"
 	"fmt"
-	"net/http"
-	"strconv"
 
 	"kbtim/internal/irrindex"
 	"kbtim/internal/rrindex"
@@ -42,9 +55,9 @@ import (
 // ErrNoArtifact marks a request whose NAME does not resolve on this node —
 // unknown kind, no index of that kind attached. Sources wrap it (the index
 // packages have their own equivalents for unknown unit/keyword/partition)
-// so the handler can answer 404 "not served here", while a resolvable
-// artifact whose read failed stays a 500: routers must be able to tell
-// "that keyword lives elsewhere" from "retry this node".
+// so the handler can mark the unit "not served here", while a resolvable
+// artifact whose read failed is marked "failed": routers must be able to
+// tell "that keyword lives elsewhere" from "retry this node".
 var ErrNoArtifact = errors.New("remote: no such artifact")
 
 // notServed reports whether err means the artifact name does not resolve
@@ -57,13 +70,13 @@ func notServed(err error) bool {
 
 // Protocol constants.
 const (
-	// Version is the artifact protocol version; client and server must
-	// agree exactly (the payload encoding is the index file format itself,
-	// which carries its own version in the "dir" unit).
-	Version = 1
-	// ArtifactPath is the conventional mount point of the handler on a
+	// BatchVersion is the artifact protocol version; client and server
+	// must agree exactly (the payload encoding is the index file format
+	// itself, which carries its own version in the "dir" unit).
+	BatchVersion = 2
+	// BatchPath is the conventional mount point of the handler on a
 	// kbtim-serve node.
-	ArtifactPath = "/internal/artifact"
+	BatchPath = "/internal/artifacts"
 	// KindRR and KindIRR name the two index kinds.
 	KindRR  = "rr"
 	KindIRR = "irr"
@@ -79,60 +92,6 @@ const (
 // benchmarks. The returned size is the index file's total byte length.
 type Source interface {
 	ArtifactBytes(kind, unit string, topic int, aux int64) ([]byte, int64, error)
-}
-
-// NewHandler returns the HTTP handler serving src's artifacts — mount it at
-// ArtifactPath. Responses carry the protocol version and the index size;
-// failures map to 400 (bad parameters) or 404 (nothing served under that
-// kind/unit/topic on this node).
-func NewHandler(src Source) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		q := r.URL.Query()
-		kind, unit := q.Get("kind"), q.Get("unit")
-		if kind == "" || unit == "" {
-			http.Error(w, "kind and unit are required", http.StatusBadRequest)
-			return
-		}
-		topic, aux := 0, int64(0)
-		var err error
-		if s := q.Get("topic"); s != "" {
-			if topic, err = strconv.Atoi(s); err != nil {
-				http.Error(w, fmt.Sprintf("bad topic %q", s), http.StatusBadRequest)
-				return
-			}
-		}
-		if s := q.Get("aux"); s != "" {
-			if aux, err = strconv.ParseInt(s, 10, 64); err != nil {
-				http.Error(w, fmt.Sprintf("bad aux %q", s), http.StatusBadRequest)
-				return
-			}
-		}
-		b, size, err := src.ArtifactBytes(kind, unit, topic, aux)
-		if err != nil {
-			// A name that does not resolve here — unknown kind/unit,
-			// keyword not indexed, no index of that kind attached — is a
-			// 404 (routers probe index kinds with it). A resolvable
-			// artifact whose read failed (disk error, engine mid-close) is
-			// a real server error, NOT "not served": a 404 here would
-			// misroute failover logic.
-			if notServed(err) {
-				http.Error(w, err.Error(), http.StatusNotFound)
-			} else {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		h := w.Header()
-		h.Set("Content-Type", "application/octet-stream")
-		h.Set(headerVersion, strconv.Itoa(Version))
-		h.Set(headerIndexSize, strconv.FormatInt(size, 10))
-		h.Set("Content-Length", strconv.Itoa(len(b)))
-		w.Write(b)
-	})
 }
 
 // IndexSource adapts directly opened Index values to the Source interface

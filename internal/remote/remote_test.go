@@ -2,6 +2,7 @@ package remote_test
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -127,7 +128,6 @@ func newCluster(t *testing.T, cacheBytes int64) *cluster {
 			t.Fatal(err)
 		}
 		mux := http.NewServeMux()
-		mux.Handle(remote.ArtifactPath, remote.NewHandler(eng))
 		mux.Handle(remote.BatchPath, remote.NewBatchHandler(eng))
 		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)
@@ -260,19 +260,19 @@ func TestRemoteDecodedCacheKeepsHotArtifactsOffTheWire(t *testing.T) {
 	}
 }
 
-// TestRemoteProtocolErrors pins the failure surface: unknown units and
-// unindexed keywords are 404s with the source's message, and a canceled
-// context aborts the fetch.
+// TestRemoteProtocolErrors pins the failure surface of the one-unit path:
+// unknown units and unknown kinds are ErrNotServed with the source's
+// message, and a canceled context aborts the fetch.
 func TestRemoteProtocolErrors(t *testing.T) {
 	c := newCluster(t, 0)
 	ctx := context.Background()
-	if _, _, err := c.clients[0].Fetch(ctx, remote.KindRR, "bogus", 0, 0); err == nil ||
+	if _, _, err := c.clients[0].Fetch(ctx, remote.KindRR, "bogus", 0, 0); !errors.Is(err, remote.ErrNotServed) ||
 		!strings.Contains(err.Error(), "unknown artifact unit") {
-		t.Fatalf("bogus unit: got %v, want an unknown-unit 404", err)
+		t.Fatalf("bogus unit: got %v, want an unknown-unit ErrNotServed", err)
 	}
-	if _, _, err := c.clients[0].Fetch(ctx, "bogus", rrindex.UnitInv, 0, 0); err == nil ||
+	if _, _, err := c.clients[0].Fetch(ctx, "bogus", rrindex.UnitInv, 0, 0); !errors.Is(err, remote.ErrNotServed) ||
 		!strings.Contains(err.Error(), "unknown index kind") {
-		t.Fatalf("bogus kind: got %v, want an unknown-kind 404", err)
+		t.Fatalf("bogus kind: got %v, want an unknown-kind ErrNotServed", err)
 	}
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()

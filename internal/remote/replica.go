@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"kbtim/internal/artifact"
 	"kbtim/internal/diskio"
 	"kbtim/internal/irrindex"
 	"kbtim/internal/rrindex"
@@ -26,10 +27,10 @@ var ErrReplicaMismatch = errors.New("remote: replica serves a different index")
 // Health treats every replica as available and discards observations.
 //
 // Observe is called with the outcome of every replica round trip the Group
-// makes (nil on success — including a 404, where the node answered and the
-// artifact name simply does not resolve). It is NOT called when the caller's
-// context is already canceled: an impatient client must not read as a
-// replica fault.
+// makes (nil on success — including not-served replies, where the node
+// answered and the artifact name simply does not resolve). It is NOT called
+// when the caller's context is already canceled: an impatient client must
+// not read as a replica fault.
 type Health interface {
 	// Available reports whether replica i should be tried at all. When no
 	// replica is available the Group fails open and tries them all anyway —
@@ -60,15 +61,15 @@ type dirRecord struct {
 
 // Group fetches index artifacts from a set of interchangeable replicas of
 // ONE shard — every replica serves a byte-identical index file, so an
-// artifact GET is idempotent across them and a failed fetch can be re-issued
-// to a surviving replica without violating the parity invariant.
+// artifact fetch is idempotent across them and a failed fetch can be
+// re-issued to a surviving replica without violating the parity invariant.
 //
 // Reads of topic w start at the shardmap.Affinity-preferred replica (hot
 // keywords spread deterministically across the set) and rotate on failure:
 // available replicas first, then — if every replica is reported down — the
 // rest, so a stale health verdict degrades to a retry instead of an outright
-// failure. A 404 (ErrNotServed) returns immediately: the name resolves the
-// same way on every replica.
+// failure. A not-served reply (ErrNotServed) returns immediately: the name
+// resolves the same way on every replica.
 //
 // A Group is safe for concurrent use.
 type Group struct {
@@ -140,71 +141,143 @@ func (g *Group) recordDir(kind string, prelude []byte, size int64) {
 	g.dirs[kind] = dirRecord{prelude: append([]byte(nil), prelude...), size: size}
 }
 
-// Fetch retrieves one artifact from any replica, failing over on transient
-// faults. The advertised index size of every response is checked against the
-// size recorded when the group opened that kind: a replica advertising a
-// different size serves a different file and is treated as faulty, not as a
-// source of (parity-breaking) bytes.
-func (g *Group) Fetch(ctx context.Context, kind, unit string, topic int, aux int64) ([]byte, int64, error) {
-	order := g.tryOrder(topic)
+// FetchBatch retrieves a whole round of artifacts from the replica group in
+// (ideally) one round trip, with whole-batch failover: a replica that fails
+// mid-batch keeps every reply it fully delivered, and only the UNSERVED
+// REMAINDER is re-issued to the next replica. A not-served reply is
+// terminal (the name resolves identically on every replica of the shard), a
+// replica advertising a different index size than the one the group opened
+// serves a different file and is treated as faulty — none of its bytes are
+// used — and a canceled context stops the rotation without blaming a
+// replica. Always returns len(reqs) replies.
+func (g *Group) FetchBatch(ctx context.Context, kind string, reqs []artifact.Request) []artifact.Reply {
+	out, _ := g.fetchBatch(ctx, kind, reqs)
+	return out
+}
+
+// fetchBatch is FetchBatch's failover loop; it also returns the index size
+// advertised by the replicas that served units (0 if none did).
+func (g *Group) fetchBatch(ctx context.Context, kind string, reqs []artifact.Request) ([]artifact.Reply, int64) {
+	out := make([]artifact.Reply, len(reqs))
+	if len(reqs) == 0 {
+		return out, 0
+	}
+	pending := make([]int, len(reqs))
+	for i := range pending {
+		pending[i] = i
+	}
+	order := g.tryOrder(reqs[0].Topic)
+	want := g.recordedSize(kind)
+	var servedSize int64
 	var lastErr error
 	for attempt, i := range order {
-		b, size, err := g.clients[i].Fetch(ctx, kind, unit, topic, aux)
-		if err == nil {
-			if want := g.recordedSize(kind); want != 0 && size != want {
-				err = fmt.Errorf("%w: advertises a %d-byte %s index, group opened a %d-byte one", ErrReplicaMismatch, size, kind, want)
+		if len(pending) == 0 {
+			break
+		}
+		sub := make([]artifact.Request, len(pending))
+		for k, pi := range pending {
+			sub[k] = reqs[pi]
+		}
+		replies, size, err := g.clients[i].FetchBatch(ctx, kind, sub)
+		if size != 0 && want != 0 && size != want {
+			// The replica serves a DIFFERENT file; none of its bytes may be
+			// used (parity), so the whole sub-batch stays pending for the
+			// next replica.
+			err = fmt.Errorf("%w: advertises a %d-byte %s index, group opened a %d-byte one", ErrReplicaMismatch, size, kind, want)
+			replies = nil
+		}
+		served := false
+		var rest []int
+		for k, pi := range pending {
+			if k < len(replies) {
+				rep := replies[k]
+				if rep.Err == nil {
+					out[pi] = rep
+					served = true
+					continue
+				}
+				if errors.Is(rep.Err, ErrNotServed) {
+					out[pi] = rep
+					continue
+				}
+				lastErr = rep.Err
 			}
+			rest = append(rest, pi)
 		}
-		if err == nil {
-			g.observe(i, nil)
-			if attempt > 0 {
-				g.failovers.Add(1)
+		pending = rest
+		if served {
+			servedSize = size
+		}
+		if err != nil {
+			if ctx.Err() != nil {
+				// The caller gave up; do not blame the replica, do not keep trying.
+				for _, pi := range pending {
+					out[pi] = artifact.Reply{Err: err}
+				}
+				return out, servedSize
 			}
-			return b, size, nil
-		}
-		if errors.Is(err, ErrNotServed) {
-			// The node answered; the name just does not resolve — which is a
-			// property of the (identical) file, not of this replica.
+			g.observe(i, err)
+			lastErr = err
+		} else {
 			g.observe(i, nil)
-			return nil, 0, err
 		}
-		if ctx.Err() != nil {
-			// The caller gave up; do not blame the replica, do not keep trying.
-			return nil, 0, err
+		if served && attempt > 0 {
+			g.failovers.Add(1)
 		}
-		g.observe(i, err)
-		lastErr = err
-		if attempt < len(order)-1 {
+		if len(pending) > 0 && attempt < len(order)-1 {
 			g.retries.Add(1)
 		}
 	}
-	return nil, 0, fmt.Errorf("remote: all %d replicas failed, last: %w", len(order), lastErr)
+	for _, pi := range pending {
+		out[pi] = artifact.Reply{Err: fmt.Errorf("remote: all %d replicas failed, last: %w", len(order), lastErr)}
+	}
+	return out, servedSize
 }
 
-// groupFetcher binds a group to one index kind, satisfying rrindex.Fetcher
-// and irrindex.Fetcher — the per-keyword artifact source that lets a
-// spanning query fail over to a surviving replica mid-round.
+// Fetch retrieves one artifact from any replica — a one-request call into
+// the FetchBatch failover loop — returning its payload and the index size
+// the serving replica advertised.
+func (g *Group) Fetch(ctx context.Context, kind, unit string, topic int, aux int64) ([]byte, int64, error) {
+	out, size := g.fetchBatch(ctx, kind, []artifact.Request{{Unit: unit, Topic: topic, Aux: aux}})
+	if err := out[0].Err; err != nil {
+		return nil, 0, err
+	}
+	return out[0].Payload, size, nil
+}
+
+// groupFetcher binds a group to one index kind — the artifact.Fetcher that
+// lets a spanning query fail over to a surviving replica mid-round.
 type groupFetcher struct {
 	g    *Group
 	kind string
 }
 
-func (f groupFetcher) Fetch(ctx context.Context, unit string, topic int, aux int64) ([]byte, error) {
-	b, _, err := f.g.Fetch(ctx, f.kind, unit, topic, aux)
-	return b, err
+func (f groupFetcher) FetchBatch(ctx context.Context, reqs []artifact.Request) []artifact.Reply {
+	return f.g.FetchBatch(ctx, f.kind, reqs)
+}
+
+// openDir fetches kind's prelude from the first replica that answers,
+// records it as the group's reference view, and returns the stub reader a
+// remote Open parses it through.
+func (g *Group) openDir(ctx context.Context, kind, unit string) (*stubReader, error) {
+	prelude, size, err := g.Fetch(ctx, kind, unit, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	g.recordDir(kind, prelude, size)
+	return &stubReader{prelude: prelude, size: size, counter: diskio.NewCounter()}, nil
 }
 
 // OpenRR opens the shard's RR index through the group: the dir artifact
 // comes from the first replica that answers (recorded as the group's
 // reference view), and the returned index reads every payload artifact
-// through the failover Fetch.
+// through the failover FetchBatch.
 func (g *Group) OpenRR(ctx context.Context) (*rrindex.Index, error) {
-	prelude, size, err := g.Fetch(ctx, KindRR, rrindex.UnitDir, 0, 0)
+	r, err := g.openDir(ctx, KindRR, rrindex.UnitDir)
 	if err != nil {
 		return nil, err
 	}
-	g.recordDir(KindRR, prelude, size)
-	idx, err := rrindex.Open(&stubReader{prelude: prelude, size: size, counter: diskio.NewCounter()})
+	idx, err := rrindex.Open(r)
 	if err != nil {
 		return nil, err
 	}
@@ -214,12 +287,11 @@ func (g *Group) OpenRR(ctx context.Context) (*rrindex.Index, error) {
 
 // OpenIRR opens the shard's IRR index through the group; see OpenRR.
 func (g *Group) OpenIRR(ctx context.Context) (*irrindex.Index, error) {
-	prelude, size, err := g.Fetch(ctx, KindIRR, irrindex.UnitDir, 0, 0)
+	r, err := g.openDir(ctx, KindIRR, irrindex.UnitDir)
 	if err != nil {
 		return nil, err
 	}
-	g.recordDir(KindIRR, prelude, size)
-	idx, err := irrindex.Open(&stubReader{prelude: prelude, size: size, counter: diskio.NewCounter()})
+	idx, err := irrindex.Open(r)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -123,8 +124,8 @@ func (h *stubHealth) Observe(i int, err error) {
 // whole-request 500 injector and a batch-reply truncator).
 type replicaCluster struct {
 	groups  []*remote.Group
-	flaky   []*flakyHandler   // per shard, wraps replica 0
-	trunc   []*truncBatch     // per shard, wraps replica 0 under flaky
+	flaky   []*flakyHandler    // per shard, wraps replica 0
+	trunc   []*truncBatch      // per shard, wraps replica 0 under flaky
 	clients [][]*remote.Client // per shard, [replica0, replica1]
 	rrIdx   []*rrindex.Index
 	irrIdx  []*irrindex.Index
@@ -199,7 +200,6 @@ func newReplicaCluster(t *testing.T) *replicaCluster {
 			t.Fatal(err)
 		}
 		mux := http.NewServeMux()
-		mux.Handle(remote.ArtifactPath, remote.NewHandler(eng))
 		mux.Handle(remote.BatchPath, remote.NewBatchHandler(eng))
 		tb := &truncBatch{inner: mux}
 		fh := &flakyHandler{inner: tb}
@@ -248,7 +248,7 @@ func openSegmented(t *testing.T, path string) diskio.Segmented {
 // invariant: with one replica of every shard dropping a burst of artifact
 // fetches mid-run, spanning queries still return byte-identical seeds,
 // marginals, and spreads to a directly opened full index — the Group
-// re-issues each failed GET on the surviving replica.
+// re-issues each failed fetch on the surviving replica.
 func TestGroupFailoverParity(t *testing.T) {
 	c := newReplicaCluster(t)
 	ctx := context.Background()
@@ -338,6 +338,7 @@ func TestGroupBatchTruncationFailover(t *testing.T) {
 		want[i] = b
 	}
 	before := g.Stats()
+	survivorBefore := c.clients[0][1].Stats().BatchedUnits
 	c.trunc[0].cut.Store(1)
 	replies := g.FetchBatch(ctx, remote.KindRR, reqs)
 	if got := c.trunc[0].hits.Load(); got != 1 {
@@ -357,62 +358,8 @@ func TestGroupBatchTruncationFailover(t *testing.T) {
 	}
 	// The survivor's batch served exactly the remainder: every unit except
 	// the one record the dying replica fully delivered.
-	if bu := c.clients[0][1].Stats().BatchedUnits; bu != int64(len(reqs)-1) {
+	if bu := c.clients[0][1].Stats().BatchedUnits - survivorBefore; bu != int64(len(reqs)-1) {
 		t.Fatalf("survivor served %d batched units; want the %d-unit remainder", bu, len(reqs)-1)
-	}
-}
-
-// TestGroupMixedVersionFallback: a v2 router batching against a v1-only
-// backend (no BatchPath endpoint) must serve every unit per-unit over v1,
-// byte-identically, and remember the verdict so the probe happens once.
-func TestGroupMixedVersionFallback(t *testing.T) {
-	base := newCluster(t, 0)
-	ctx := context.Background()
-	var batchProbes atomic.Int64
-	v1mux := http.NewServeMux()
-	v1mux.Handle(remote.ArtifactPath, proxyTo(t, base.clients[0]))
-	v1srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == remote.BatchPath {
-			batchProbes.Add(1)
-		}
-		v1mux.ServeHTTP(w, r)
-	}))
-	defer v1srv.Close()
-	cl := remote.NewClient(v1srv.URL, v1srv.Client())
-	g := remote.NewGroup([]*remote.Client{cl}, nil)
-	if _, err := g.OpenRR(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var topics []int
-	for w := 0; w < base.sm.NumTopics() && len(topics) < 3; w++ {
-		if base.sm.Owner(w) == 0 {
-			topics = append(topics, w)
-		}
-	}
-	reqs := make([]artifact.Request, len(topics))
-	for i, w := range topics {
-		reqs[i] = artifact.Request{Unit: rrindex.UnitInv, Topic: w}
-	}
-	for round := 0; round < 2; round++ {
-		replies := g.FetchBatch(ctx, remote.KindRR, reqs)
-		for i, rep := range replies {
-			if rep.Err != nil {
-				t.Fatalf("round %d unit %d: %v", round, i, rep.Err)
-			}
-			want, _, err := base.clients[0].Fetch(ctx, remote.KindRR, rrindex.UnitInv, topics[i], 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rep.Payload, want) {
-				t.Fatalf("round %d unit %d: v1-fallback payload differs from direct fetch", round, i)
-			}
-		}
-	}
-	if n := batchProbes.Load(); n != 1 {
-		t.Fatalf("v1-only backend probed %d times for the batch endpoint; want exactly 1 (verdict remembered)", n)
-	}
-	if ws := cl.Stats(); ws.BatchedUnits != 0 || ws.Fetches == 0 {
-		t.Fatalf("mixed-version fallback stats %+v; want zero batched units over nonzero per-unit fetches", ws)
 	}
 }
 
@@ -447,9 +394,10 @@ func TestGroupOpensDegraded(t *testing.T) {
 	}
 }
 
-// TestGroupNotServedIsNotAFault: a 404 (name does not resolve) is a property
-// of the byte-identical file, not of the replica that answered — the Group
-// must return it immediately instead of hammering every replica.
+// TestGroupNotServedIsNotAFault: a not-served reply (name does not resolve)
+// is a property of the byte-identical file, not of the replica that
+// answered — the Group must return it immediately instead of hammering
+// every replica.
 func TestGroupNotServedIsNotAFault(t *testing.T) {
 	c := newReplicaCluster(t)
 	g := c.groups[0]
@@ -457,7 +405,7 @@ func TestGroupNotServedIsNotAFault(t *testing.T) {
 		t.Fatalf("bogus unit: got %v, want ErrNotServed", err)
 	}
 	if s := g.Stats(); s.Retries != 0 {
-		t.Fatalf("a 404 was retried %d times across replicas", s.Retries)
+		t.Fatalf("a not-served reply was retried %d times across replicas", s.Retries)
 	}
 }
 
@@ -517,26 +465,22 @@ func TestGroupMismatchedReplicaRejected(t *testing.T) {
 	}
 }
 
-// proxyTo forwards artifact requests to another node — a stand-in for a
-// second server over the same files when only a client handle is available.
+// proxyTo re-serves another node's artifacts through the batch handler — a
+// stand-in for a second server over the same files when only a client
+// handle is available.
 func proxyTo(t *testing.T, c *remote.Client) http.Handler {
 	t.Helper()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		topic, _ := strconv.Atoi(q.Get("topic"))
-		aux, _ := strconv.ParseInt(q.Get("aux"), 10, 64)
-		b, size, err := c.Fetch(r.Context(), q.Get("kind"), q.Get("unit"), topic, aux)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, remote.ErrNotServed) {
-				status = http.StatusNotFound
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		w.Header().Set("X-Kbtim-Artifact-Version", strconv.Itoa(remote.Version))
-		w.Header().Set("X-Kbtim-Index-Size", strconv.FormatInt(size, 10))
-		w.WriteHeader(http.StatusOK)
-		w.Write(b)
-	})
+	return remote.NewBatchHandler(clientSource{c})
+}
+
+// clientSource is a remote.Source that answers every unit with a one-unit
+// fetch from another node.
+type clientSource struct{ c *remote.Client }
+
+func (s clientSource) ArtifactBytes(kind, unit string, topic int, aux int64) ([]byte, int64, error) {
+	b, size, err := s.c.Fetch(context.Background(), kind, unit, topic, aux)
+	if errors.Is(err, remote.ErrNotServed) {
+		err = fmt.Errorf("%w: %v", remote.ErrNoArtifact, err)
+	}
+	return b, size, err
 }

@@ -36,10 +36,10 @@ type Index struct {
 	hdr     Header
 	dirs    map[int]*KeywordDir
 	r       diskio.Segmented
-	prelude int64           // header+directory byte length (the UnitDir artifact)
-	dec     *objcache.Cache // optional decoded-object cache, set before first Query
-	par     int             // per-query artifact-load parallelism, set before first Query
-	fetch   Fetcher         // optional remote artifact source, set before first Query
+	prelude int64            // header+directory byte length (the UnitDir artifact)
+	dec     *objcache.Cache  // optional decoded-object cache, set before first Query
+	par     int              // per-query artifact-load parallelism, set before first Query
+	fetch   artifact.Fetcher // optional remote artifact source, set before first Query
 }
 
 // Artifact units of the RR index, as named by the cross-node fetch protocol
@@ -57,32 +57,9 @@ const (
 	UnitInv = "inv"
 )
 
-// Fetcher returns the raw bytes of one named artifact of this index — the
-// pluggable byte source that lets an Index be backed by a remote node
-// instead of a local file. Implementations must return exactly the bytes
-// the local file holds for that unit (ArtifactBytes on the serving side is
-// the canonical producer), so decoded artifacts — and therefore query
-// results — are bit-identical to a local open of the same file.
-type Fetcher interface {
-	Fetch(ctx context.Context, unit string, topic int, aux int64) ([]byte, error)
-}
-
-// BatchFetcher is an optional Fetcher upgrade: one call moves a whole round
-// of artifacts in (ideally) one wire round trip. FetchBatch must return
-// exactly len(reqs) replies in request order, isolating failures per unit;
-// each successful payload obeys the same bit-identity contract as Fetch.
-// When the query planner finds a BatchFetcher behind a remote index it
-// gathers every unit the round will need, peels decoded-cache residents off,
-// and batches the rest — per-unit Fetch remains the fallback for everything
-// else, so results are byte-identical either way.
-type BatchFetcher interface {
-	Fetcher
-	FetchBatch(ctx context.Context, reqs []artifact.Request) []artifact.Reply
-}
-
 // ErrNoArtifact marks an artifact request whose NAME does not resolve on
 // this index — unknown unit, unindexed keyword, out-of-range refinement.
-// Serving layers map it to "not served here" (HTTP 404), as distinct from
+// Serving layers map it to a "not served here" record, as distinct from
 // a resolvable artifact whose read failed (a real server error).
 var ErrNoArtifact = errors.New("rrindex: no such artifact")
 
@@ -149,7 +126,7 @@ func (idx *Index) SetQueryParallelism(n int) { idx.par = n }
 // attached, still fronts those fetches, so hot keywords skip the wire). Must
 // be called before the index is shared between goroutines (i.e. right after
 // Open); pass nil to go back to local reads.
-func (idx *Index) SetFetcher(f Fetcher) { idx.fetch = f }
+func (idx *Index) SetFetcher(f artifact.Fetcher) { idx.fetch = f }
 
 // Size returns the total byte length of the underlying index file (for a
 // remote-backed index, the size the serving node advertised).
@@ -180,42 +157,15 @@ func (idx *Index) ArtifactBytes(unit string, topic int, aux int64) ([]byte, erro
 	}
 }
 
-// artifact returns one artifact's raw bytes for a query: from the remote
-// fetcher when the index is remote-backed (recording the transfer in the
-// query's I/O scope, so wire bytes surface in the usual I/O stats), else one
-// ReadSegment against the local reader. off/length locate the unit in the
-// file — the fetched payload must be exactly that long, a cheap end-to-end
-// check that the remote node serves the same index this directory describes.
+// artifact returns one artifact's raw bytes for a query: one ReadSegment
+// against the local reader, or — when the index is remote-backed — the
+// shared stash-or-fetch choke point (artifact.Read). off/length locate the
+// unit in the file.
 func (idx *Index) artifact(ctx context.Context, r diskio.Segmented, unit string, topic int, aux, off, length int64) ([]byte, error) {
 	if idx.fetch == nil {
 		return r.ReadSegment(off, length)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// A batch-planned round has already moved this unit over the wire; the
-	// stash rides the query's reader, and consuming an entry (Take removes
-	// it) is the moment its transfer lands in the I/O stats.
-	if st, ok := r.(*artifact.Stashed); ok {
-		if b, ok := st.S.Take(artifact.Request{Unit: unit, Topic: topic, Aux: aux}); ok {
-			if int64(len(b)) != length {
-				return nil, fmt.Errorf("rrindex: remote %s artifact for keyword %d is %d bytes, directory says %d",
-					unit, topic, len(b), length)
-			}
-			r.Counter().Record(off, len(b))
-			return b, nil
-		}
-	}
-	b, err := idx.fetch.Fetch(ctx, unit, topic, aux)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(b)) != length {
-		return nil, fmt.Errorf("rrindex: remote %s artifact for keyword %d is %d bytes, directory says %d",
-			unit, topic, len(b), length)
-	}
-	r.Counter().Record(off, len(b))
-	return b, nil
+	return artifact.Read(ctx, idx.fetch, r, artifact.Request{Unit: unit, Topic: topic, Aux: aux}, off, length)
 }
 
 // Header returns the index-wide metadata.
@@ -507,11 +457,10 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	}
 
 	// Batch round: the allocation above fixes every artifact this query will
-	// read, so a remote index with a batch-capable fetcher gets all its units
-	// in ONE round trip per owning backend (decoded-cache residents peeled
-	// off first). The payloads ride per-index stashes that the unchanged
-	// fetch path consumes unit by unit — local indexes and plain fetchers
-	// skip this entirely.
+	// read, so a remote index gets all its units in ONE round trip per
+	// owning backend (decoded-cache residents peeled off first). The
+	// payloads ride per-index stashes that the unchanged fetch path consumes
+	// unit by unit — local indexes skip this entirely.
 	var stashes map[*Index]*artifact.Stash
 	if !so.Expired() {
 		stashes = planWire(ctx, q.Topics, idxAt, dirOf, alloc)
@@ -756,22 +705,17 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 // planWire is the RR query's batch round. Algorithm 2 reads exactly two
 // artifacts per keyword — the θ^Q_w sets prefix and the inverted region —
 // and the allocation fixes both before any fetch starts, so for every
-// remote batch-capable index the complete wire need is known up front: it
-// is gathered here, minus units already resident in that index's decoded
-// cache, and moved in one FetchBatch per owning index (concurrently across
-// indexes for spanning queries). Successful payloads land in per-index
-// stashes; failed units are simply not stashed, so the per-unit fetch path
-// retries them with its own failover and surfaces errors with the usual
-// keyword context. Plans that would batch a single unit are dropped — one
-// POST saves nothing over one GET.
+// remote index the complete wire need is known up front: it is gathered
+// here, minus units already resident in that index's decoded cache, and
+// moved in one FetchBatch per owning index (concurrently across indexes for
+// spanning queries). Successful payloads land in per-index stashes; failed
+// units are simply not stashed, so the read path fetches them again and
+// surfaces errors with the usual keyword context.
 func planWire(ctx context.Context, topics []int, idxAt func(int) *Index, dirOf []*KeywordDir, alloc map[int]int) map[*Index]*artifact.Stash {
 	var plans map[*Index][]artifact.Request
 	for i := range topics {
 		ix := idxAt(i)
 		if ix.fetch == nil {
-			continue
-		}
-		if _, ok := ix.fetch.(BatchFetcher); !ok {
 			continue
 		}
 		d := dirOf[i]
@@ -791,33 +735,14 @@ func planWire(ctx context.Context, topics []int, idxAt func(int) *Index, dirOf [
 		}
 		plans[ix] = append(plans[ix], reqs...)
 	}
-	var (
-		stashes map[*Index]*artifact.Stash
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-	)
-	for ix, reqs := range plans {
-		if len(reqs) < 2 {
-			continue
-		}
-		wg.Add(1)
-		go func(ix *Index, bf BatchFetcher, reqs []artifact.Request) {
-			defer wg.Done()
-			st := artifact.NewStash()
-			for k, rep := range bf.FetchBatch(ctx, reqs) {
-				if rep.Err == nil {
-					st.Put(reqs[k], rep.Payload)
-				}
-			}
-			mu.Lock()
-			if stashes == nil {
-				stashes = make(map[*Index]*artifact.Stash)
-			}
-			stashes[ix] = st
-			mu.Unlock()
-		}(ix, ix.fetch.(BatchFetcher), reqs)
+	if plans == nil {
+		return nil
 	}
-	wg.Wait()
+	stashes := make(map[*Index]*artifact.Stash, len(plans))
+	for ix := range plans {
+		stashes[ix] = artifact.NewStash()
+	}
+	artifact.Issue(ctx, plans, func(ix *Index) (artifact.Fetcher, *artifact.Stash) { return ix.fetch, stashes[ix] })
 	return stashes
 }
 

@@ -390,13 +390,13 @@ func (s *Sharded) pin(shards []int, acquire func(*Engine) (*indexHandle, error))
 }
 
 // ArtifactBytes implements the cross-node artifact-serving interface
-// (remote.Source) so a sharded box still mounts /internal/artifact — and
-// answers every request with a diagnosis instead of a bare route 404. A
-// fan-out router expects SINGLE-ENGINE backends (node i serving shard i's
-// "<index>.s<i>" file): a multi-shard box holds several disjoint keyword
-// directories and has no one prelude to serve, so an operator who points
-// -router at it gets this message rather than a misleading "serves no RR
-// or IRR index".
+// (remote.Source) so a sharded box still mounts /internal/artifacts — and
+// answers every requested unit with a diagnosis instead of a bare route
+// 404. A fan-out router expects SINGLE-ENGINE backends (node i serving
+// shard i's "<index>.s<i>" file): a multi-shard box holds several disjoint
+// keyword directories and has no one prelude to serve, so an operator who
+// points -router at it gets this message rather than a misleading "serves
+// no RR or IRR index".
 func (s *Sharded) ArtifactBytes(kind, unit string, topic int, aux int64) ([]byte, int64, error) {
 	return nil, 0, fmt.Errorf("kbtim: cross-node artifact serving needs single-engine backends (run one kbtim-serve per shard file, -shards 1); this node runs %d engine shards behind one process", len(s.engines))
 }
