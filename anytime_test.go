@@ -19,10 +19,10 @@ func TestStreamMatchesBatch(t *testing.T) {
 
 	type queryFn func(context.Context, Query, StreamOptions) (*Result, error)
 	paths := map[string]queryFn{
-		"engine/rr":   single.QueryRRStreamCtx,
-		"engine/irr":  single.QueryIRRStreamCtx,
-		"sharded/rr":  s.QueryRRStreamCtx,
-		"sharded/irr": s.QueryIRRStreamCtx,
+		"engine/rr":   single.QueryRRCtx,
+		"engine/irr":  single.QueryIRRCtx,
+		"sharded/rr":  s.QueryRRCtx,
+		"sharded/irr": s.QueryIRRCtx,
 	}
 	for _, q := range shardedQueries() {
 		for name, run := range paths {
@@ -74,8 +74,8 @@ func TestStreamDeadline(t *testing.T) {
 	q := Query{Topics: []int{0, 1}, K: 3}
 
 	for name, run := range map[string]func(context.Context, Query, StreamOptions) (*Result, error){
-		"rr":  single.QueryRRStreamCtx,
-		"irr": single.QueryIRRStreamCtx,
+		"rr":  single.QueryRRCtx,
+		"irr": single.QueryIRRCtx,
 	} {
 		res, err := run(context.Background(), q, StreamOptions{Deadline: time.Now().Add(-time.Second)})
 		if err != nil {

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"kbtim"
+	"kbtim/internal/shardmap"
 )
 
 func parseTopics(s string) ([]int, error) {
@@ -50,7 +51,7 @@ func main() {
 		profilePath = flag.String("profiles", "profiles.bin", "input profiles path")
 		indexPath   = flag.String("index", "", "index path (for -type rr|irr)")
 		shards      = flag.Int("shards", 1, "open a sharded index set: shard i at <index>.s<i> (for -type rr|irr)")
-		shardMode   = flag.String("shard-mode", "hash", "keyword→shard assignment of the sharded set: hash | range | replicate")
+		shardMode   = flag.String("shard-mode", "hash", "keyword→shard assignment of the sharded set: hash | range")
 		method      = flag.String("type", "irr", "strategy: wris | rr | irr | ris")
 		model       = flag.String("model", "IC", "propagation model: IC | LT")
 		topicsFlag  = flag.String("topics", "", "comma-separated advertisement keywords")
@@ -86,6 +87,9 @@ func main() {
 	if *shards < 1 {
 		log.Fatalf("kbtim-query: -shards must be >= 1, got %d", *shards)
 	}
+	if _, err := shardmap.ParseMode(*shardMode); err != nil {
+		log.Fatalf("kbtim-query: %v", err)
+	}
 	if *shards > 1 && *method != "rr" && *method != "irr" {
 		log.Fatalf("kbtim-query: -shards applies to the disk indexes only (-type rr|irr), not %q", *method)
 	}
@@ -112,17 +116,6 @@ func main() {
 		}
 	}
 
-	// openSharded assembles the per-shard engines over the "<index>.s<i>"
-	// files kbtim-build -shards wrote; queries through it return exactly
-	// what the unsharded index would.
-	openSharded := func(rrPath, irrPath string) *kbtim.Sharded {
-		s, err := kbtim.OpenShardedIndexes(ds, opts, rrPath, irrPath, *shards, kbtim.ShardMode(*shardMode), 0)
-		if err != nil {
-			log.Fatalf("kbtim-query: %v", err)
-		}
-		return s
-	}
-
 	var res *kbtim.Result
 	var q kbtim.Query
 	switch *method {
@@ -134,28 +127,36 @@ func main() {
 			log.Fatalf("kbtim-query: %v", terr)
 		}
 		q = kbtim.Query{Topics: topics, K: *k}
-		switch {
-		case *method == "wris":
+		if *method == "wris" {
 			res, err = eng.QueryWRIS(q)
-		case *method == "rr" && *shards > 1:
-			s := openSharded(*indexPath, "")
-			defer s.Close()
-			res, err = s.QueryRRStreamCtx(ctx, q, so)
-		case *method == "rr":
-			if err := eng.OpenRRIndex(*indexPath); err != nil {
-				log.Fatalf("kbtim-query: %v", err)
-			}
-			res, err = eng.QueryRRStreamCtx(ctx, q, so)
-		case *method == "irr" && *shards > 1:
-			s := openSharded("", *indexPath)
-			defer s.Close()
-			res, err = s.QueryIRRStreamCtx(ctx, q, so)
-		case *method == "irr":
-			if err := eng.OpenIRRIndex(*indexPath); err != nil {
-				log.Fatalf("kbtim-query: %v", err)
-			}
-			res, err = eng.QueryIRRStreamCtx(ctx, q, so)
+			break
 		}
+		// The disk-index strategies run on eng itself, or on the per-shard
+		// engines over the "<index>.s<i>" files kbtim-build -shards wrote,
+		// which answer exactly what the unsharded index would.
+		var idx interface {
+			QueryRRCtx(context.Context, kbtim.Query, kbtim.StreamOptions) (*kbtim.Result, error)
+			QueryIRRCtx(context.Context, kbtim.Query, kbtim.StreamOptions) (*kbtim.Result, error)
+			Close() error
+		} = eng
+		rrPath, irrPath, open := "", *indexPath, eng.OpenIRRIndex
+		if *method == "rr" {
+			rrPath, irrPath, open = *indexPath, "", eng.OpenRRIndex
+		}
+		if *shards > 1 {
+			idx, err = kbtim.OpenShardedIndexes(ds, opts, rrPath, irrPath, *shards, kbtim.ShardMode(*shardMode), 0)
+		} else {
+			err = open(*indexPath)
+		}
+		if err != nil {
+			log.Fatalf("kbtim-query: %v", err)
+		}
+		defer idx.Close()
+		query := idx.QueryIRRCtx
+		if *method == "rr" {
+			query = idx.QueryRRCtx
+		}
+		res, err = query(ctx, q, so)
 	default:
 		log.Fatalf("kbtim-query: unknown strategy %q", *method)
 	}

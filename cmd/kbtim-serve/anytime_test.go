@@ -184,11 +184,11 @@ func (f *anytimeFake) query(so kbtim.StreamOptions) (*kbtim.Result, error) {
 	}, nil
 }
 
-func (f *anytimeFake) QueryRRStreamCtx(_ context.Context, _ kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
+func (f *anytimeFake) QueryRRCtx(_ context.Context, _ kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
 	return f.query(so)
 }
 
-func (f *anytimeFake) QueryIRRStreamCtx(_ context.Context, _ kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
+func (f *anytimeFake) QueryIRRCtx(_ context.Context, _ kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
 	return f.query(so)
 }
 

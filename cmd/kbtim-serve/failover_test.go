@@ -303,58 +303,3 @@ func TestRouterRefusesShardWithNoLiveReplica(t *testing.T) {
 		t.Fatal("openFanout started with a shard that has no live replica")
 	}
 }
-
-// TestReplicateModeSkipsOpenBreakers pins the satellite fix: replicate-mode
-// routing must rotate whole queries across AVAILABLE groups only, instead of
-// round-robining onto a node it already knows is down.
-func TestReplicateModeSkipsOpenBreakers(t *testing.T) {
-	ds, opts, rrPath, irrPath := shardedFixture(t, 2)
-	// Two single-replica groups, each serving the FULL index — the
-	// replicate-mode topology (every group can answer any query).
-	groups := make([][]string, 2)
-	for i := 0; i < 2; i++ {
-		be, closeBE, err := openBackend(ds, opts, rrPath, irrPath, 1, kbtim.ShardHash, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { closeBE() })
-		srv := httptest.NewServer(NewServer(be, 4).Handler())
-		t.Cleanup(srv.Close)
-		groups[i] = []string{srv.URL}
-	}
-	cfg := defaultFanoutConfig()
-	cfg.mode = kbtim.ShardReplicate
-	cfg.breaker = fastBreaker()
-	cfg.noProbeLoop = true
-	fo, err := openFanout(groups, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fo.Close() })
-
-	// Healthy: rotation uses both groups.
-	seen := map[int]bool{}
-	for i := 0; i < 10; i++ {
-		for _, gi := range fo.involved([]int{1}) {
-			seen[gi] = true
-		}
-	}
-	if len(seen) != 2 {
-		t.Fatalf("healthy replicate rotation used groups %v, want both", seen)
-	}
-
-	// Open group 0's breaker: every pick must land on group 1.
-	fo.groups[0].nodes[0].brk.forceOpen(time.Now(), fo.brkCfg)
-	for i := 0; i < 10; i++ {
-		if gids := fo.involved([]int{1}); len(gids) != 1 || gids[0] != 1 {
-			t.Fatalf("replicate rotation picked dead group on iteration %d: %v", i, gids)
-		}
-	}
-
-	// All groups down: fail open — still pick exactly one group rather than
-	// erroring before any replica is even tried.
-	fo.groups[1].nodes[0].brk.forceOpen(time.Now(), fo.brkCfg)
-	if gids := fo.involved([]int{1}); len(gids) != 1 {
-		t.Fatalf("fail-open pick = %v, want exactly one group", gids)
-	}
-}

@@ -69,16 +69,6 @@ type shardGroup struct {
 	next   atomic.Uint64 // proxy round-robin cursor across replicas
 }
 
-// available reports whether at least one replica may take traffic.
-func (g *shardGroup) available() bool {
-	for _, n := range g.nodes {
-		if n.brk.allow() {
-			return true
-		}
-	}
-	return false
-}
-
 // groupHealth adapts a shardGroup's breakers to remote.Health, so artifact
 // fetches are routed around open breakers and their outcomes feed back in.
 type groupHealth struct{ g *shardGroup }
@@ -99,11 +89,11 @@ func (h groupHealth) Observe(i int, err error) {
 // healthy replicas (one round trip; re-issued to a surviving replica on
 // failure — safe, the query is read-only). A query spanning groups runs
 // Algorithm 2/4 locally with every keyword's artifact fetches going over the
-// wire to its owning group — rrindex/irrindex QueryMulti with remote-backed
-// indexes whose fetches fail over mid-round — which keeps results
-// bit-identical to a single engine over the full index (the three-way parity
-// test pins engine == in-process Sharded == this router, and the failover
-// tests pin it under injected faults). Router-side decoded caches front the
+// wire to its owning group — rrindex/irrindex QueryMultiStreamCtx with
+// remote-backed indexes whose fetches fail over mid-round — which keeps
+// results bit-identical to a single engine over the full index (the
+// three-way parity test pins engine == in-process Sharded == this router,
+// and the failover tests pin it under injected faults). Router-side decoded caches front the
 // wire per group, so hot keywords scatter without network I/O.
 type fanout struct {
 	sm     *shardmap.Map
@@ -118,7 +108,6 @@ type fanout struct {
 	// TCP setup every round. It shares its transport (and so its idle pool)
 	// with hc.
 	artifactHC *http.Client
-	next       atomic.Uint64 // replicate-mode group rotation
 
 	proxCnt        atomic.Int64
 	scatCnt        atomic.Int64
@@ -430,26 +419,6 @@ func (f *fanout) probeNode(g *shardGroup, ni int, n *fanoutNode) error {
 	return nil
 }
 
-// involved returns the groups a query must touch, ascending. Replicate mode
-// rotates whole queries across groups, skipping groups with no available
-// replica (a breaker-open node must not keep receiving every Nth query);
-// hash/range return the distinct owners of the query's topics.
-func (f *fanout) involved(topics []int) []int {
-	if f.sm.Mode() == shardmap.Replicate {
-		ng := len(f.groups)
-		start := int(f.next.Add(1)-1) % ng
-		for k := 0; k < ng; k++ {
-			if gi := (start + k) % ng; f.groups[gi].available() {
-				return []int{gi}
-			}
-		}
-		// Every group looks down: fail open on the rotation pick and let
-		// the per-replica retries decide.
-		return []int{start}
-	}
-	return f.sm.Shards(topics)
-}
-
 // proxyOrder returns the group's replicas in try order for a whole-query
 // proxy: round-robin across replicas (spreading load), available ones
 // first, the rest kept as a last resort.
@@ -611,18 +580,13 @@ func (f *fanout) proxyOnce(ctx context.Context, n *fanoutNode, body []byte) (*kb
 }
 
 // QueryRRCtx implements backend: proxy when one group owns every topic,
-// local Algorithm 2 over remote-backed group indexes otherwise.
-func (f *fanout) QueryRRCtx(ctx context.Context, q kbtim.Query) (*kbtim.Result, error) {
-	return f.QueryRRStreamCtx(ctx, q, kbtim.StreamOptions{})
-}
-
-// QueryRRStreamCtx implements backend with incremental emission: scattered
+// local Algorithm 2 over remote-backed group indexes otherwise. Scattered
 // queries certify and emit locally; proxied queries emit on reply arrival.
-func (f *fanout) QueryRRStreamCtx(ctx context.Context, q kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
+func (f *fanout) QueryRRCtx(ctx context.Context, q kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
 	if f.groups[0].rr == nil {
 		return nil, errors.New("router backends serve no RR index")
 	}
-	gids := f.involved(q.Topics)
+	gids := f.sm.Shards(q.Topics)
 	if len(gids) == 0 {
 		return nil, errors.New("query needs at least one keyword")
 	}
@@ -651,17 +615,12 @@ func (f *fanout) QueryRRStreamCtx(ctx context.Context, q kbtim.Query, so kbtim.S
 	}, nil
 }
 
-// QueryIRRCtx implements backend; routing matches QueryRRCtx.
-func (f *fanout) QueryIRRCtx(ctx context.Context, q kbtim.Query) (*kbtim.Result, error) {
-	return f.QueryIRRStreamCtx(ctx, q, kbtim.StreamOptions{})
-}
-
-// QueryIRRStreamCtx implements backend; routing matches QueryRRStreamCtx.
-func (f *fanout) QueryIRRStreamCtx(ctx context.Context, q kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
+// QueryIRRCtx implements backend; routing and emission match QueryRRCtx.
+func (f *fanout) QueryIRRCtx(ctx context.Context, q kbtim.Query, so kbtim.StreamOptions) (*kbtim.Result, error) {
 	if f.groups[0].irr == nil {
 		return nil, errors.New("router backends serve no IRR index")
 	}
-	gids := f.involved(q.Topics)
+	gids := f.sm.Shards(q.Topics)
 	if len(gids) == 0 {
 		return nil, errors.New("query needs at least one keyword")
 	}

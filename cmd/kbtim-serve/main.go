@@ -7,15 +7,13 @@
 //	kbtim-serve -graph g.bin -profiles p.bin -irr ads.irr \
 //	            -addr :8080 -workers 8 -cache-mb 64
 //
-// With -shards N > 1 the server runs N engine shards on one box. In hash
-// (default) and range modes each shard serves a disjoint keyword subset
-// from its own index file ("<path>.s<i>", written by kbtim-build -shards);
-// queries whose topics co-locate are answered by that shard alone, and
-// spanning queries are scatter-gathered with an exact merge — results are
-// identical to a single-engine deployment. In replicate mode every shard
-// opens the SAME full index file and whole queries round-robin across
-// replicas. The global -cache-mb/-decoded-cache-mb budgets and the -workers
-// pool are split evenly across shards:
+// With -shards N > 1 the server runs N engine shards on one box, each
+// serving a disjoint keyword subset (-shard-mode hash, the default, or
+// range) from its own index file ("<path>.s<i>", written by kbtim-build
+// -shards). A query reads only the shards owning its topics, and spanning
+// queries are scatter-gathered with an exact merge — results are identical
+// to a single-engine deployment. The global -cache-mb/-decoded-cache-mb
+// budgets and the -workers pool are split evenly across shards:
 //
 //	kbtim-serve -graph g.bin -profiles p.bin -irr ads.irr \
 //	            -shards 4 -shard-mode hash -workers 8 -decoded-cache-mb 256
@@ -77,6 +75,7 @@ import (
 	"time"
 
 	"kbtim"
+	"kbtim/internal/shardmap"
 )
 
 func main() {
@@ -99,7 +98,7 @@ func run(args []string) error {
 		irrPath     = fs.String("irr", "", "IRR index path (optional; with -shards > 1, shard i opens <path>.s<i>)")
 		workers     = fs.Int("workers", 0, "query worker pool size, split across shards (0 = NumCPU)")
 		shards      = fs.Int("shards", 1, "engine shard count on this box")
-		shardMode   = fs.String("shard-mode", "hash", "keyword→shard assignment: hash | range | replicate")
+		shardMode   = fs.String("shard-mode", "hash", "keyword→shard assignment: hash | range")
 		cacheMB     = fs.Int("cache-mb", 32, "segment (byte) cache budget per index, MiB, split across shards (0 = no cache)")
 		decodedMB   = fs.Int("decoded-cache-mb", 64, "decoded-object cache budget per index, MiB, split across shards (0 = no cache)")
 		cacheShards = fs.Int("cache-shards", 0, "decoded-object cache shards per engine, rounded to a power of two (0 = near GOMAXPROCS)")
@@ -162,6 +161,9 @@ func run(args []string) error {
 	pool := *workers
 	if pool <= 0 {
 		pool = runtime.NumCPU()
+	}
+	if _, err := shardmap.ParseMode(*shardMode); err != nil {
+		return err
 	}
 	var be backend
 	if *routerMode {

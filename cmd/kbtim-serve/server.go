@@ -23,8 +23,8 @@ import (
 // Both query methods take StreamOptions: batch responses are the zero-option
 // case of the same call, so the served pipeline is anytime end to end.
 type backend interface {
-	QueryRRStreamCtx(context.Context, kbtim.Query, kbtim.StreamOptions) (*kbtim.Result, error)
-	QueryIRRStreamCtx(context.Context, kbtim.Query, kbtim.StreamOptions) (*kbtim.Result, error)
+	QueryRRCtx(context.Context, kbtim.Query, kbtim.StreamOptions) (*kbtim.Result, error)
+	QueryIRRCtx(context.Context, kbtim.Query, kbtim.StreamOptions) (*kbtim.Result, error)
 	IndexedKeywords() []int
 	CacheStats() (rr, irr diskio.CacheStats)
 	DecodedCacheStats() (rr, irr objcache.Stats)
@@ -426,7 +426,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 
 	// The request context rides into the query itself: when the client
 	// disconnects, the engine observes the cancellation at its next
@@ -452,10 +451,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var res *kbtim.Result
 	if strategy == "rr" {
-		res, err = s.eng.QueryRRStreamCtx(r.Context(), q, so)
+		res, err = s.eng.QueryRRCtx(r.Context(), q, so)
 	} else {
-		res, err = s.eng.QueryIRRStreamCtx(r.Context(), q, so)
+		res, err = s.eng.QueryIRRCtx(r.Context(), q, so)
 	}
+	// The query is no longer in flight once the engine returns: a client
+	// that reads its reply and then /stats must not see it counted.
+	s.inflight.Add(-1)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client vanished mid-query (the engine aborted on the

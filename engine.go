@@ -174,10 +174,10 @@ type Result struct {
 // Seeds/Marginals prefix exactly.
 type EmitFunc func(seed Seed, marginal int, spreadLB float64)
 
-// StreamOptions carries the anytime-query hooks of the streaming entry
-// points (QueryRRStreamCtx / QueryIRRStreamCtx, and their Sharded
-// counterparts). The zero value means "batch": no emission, no deadline —
-// QueryRRCtx is literally QueryRRStreamCtx with zero options.
+// StreamOptions carries the anytime-query hooks of QueryRRCtx / QueryIRRCtx
+// (on Engine and Sharded). The zero value means "batch": no emission, no
+// deadline — QueryRR is literally QueryRRCtx with a background context and
+// zero options.
 type StreamOptions struct {
 	// Emit, when non-nil, streams each seed as it is certified.
 	Emit EmitFunc
@@ -626,32 +626,56 @@ func ioStats(s diskio.Stats, decHits, decMisses int64) IOStats {
 	}
 }
 
-// QueryRR answers q from the opened RR index (Algorithm 2). Safe for
+// QueryRR answers q from the opened RR index (Algorithm 2): QueryRRCtx with
+// no context and no stream options.
+func (e *Engine) QueryRR(q Query) (*Result, error) {
+	return e.QueryRRCtx(context.Background(), q, StreamOptions{})
+}
+
+// QueryRRCtx answers q from the opened RR index (Algorithm 2). Safe for
 // concurrent use; the query pins the handle it starts on, so a concurrent
 // Open/Close can neither pull the index out from under it nor make it wait.
-func (e *Engine) QueryRR(q Query) (*Result, error) {
-	return e.QueryRRCtx(context.Background(), q)
-}
-
-// QueryRRCtx is QueryRR with cancellation: ctx is checked at every
-// keyword-load boundary, so a caller that goes away (a disconnected HTTP
-// client, a router-side timeout) stops paying for artifact fetches it no
-// longer wants. A canceled query returns ctx.Err().
-func (e *Engine) QueryRRCtx(ctx context.Context, q Query) (*Result, error) {
-	return e.QueryRRStreamCtx(ctx, q, StreamOptions{})
-}
-
-// QueryRRStreamCtx is QueryRRCtx with anytime hooks: so.Emit receives each
-// seed as greedy selection certifies it, and an expired so.Deadline returns
-// the best certified prefix with Partial=true instead of an error. Zero
-// options degrade to exactly the batch path.
-func (e *Engine) QueryRRStreamCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
+//
+// ctx is checked at every keyword-load boundary, so a caller that goes away
+// (a disconnected HTTP client, a router-side timeout) stops paying for
+// artifact fetches it no longer wants; a canceled query returns ctx.Err().
+// so.Emit receives each seed as greedy selection certifies it, and an
+// expired so.Deadline returns the best certified prefix with Partial=true
+// instead of an error. Zero options are the batch query.
+func (e *Engine) QueryRRCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
 	h, err := e.acquireRR()
 	if err != nil {
 		return nil, err
 	}
 	defer h.release()
-	r, err := h.rr.QueryStreamCtx(ctx, q.internal(), so.internal())
+	return rrResult(rrindex.QueryMultiStreamCtx(ctx, func(int) *rrindex.Index { return h.rr }, q.internal(), so.internal()))
+}
+
+// QueryIRR answers q from the opened IRR index (Algorithm 4): QueryIRRCtx
+// with no context and no stream options.
+func (e *Engine) QueryIRR(q Query) (*Result, error) {
+	return e.QueryIRRCtx(context.Background(), q, StreamOptions{})
+}
+
+// QueryIRRCtx answers q from the opened IRR index (Algorithm 4), with
+// QueryRRCtx's handle pinning. ctx is checked at every keyword-load and NRA
+// partition-round boundary, so a canceled caller's query stops within one
+// partition round instead of running Algorithm 4 to completion. so.Emit
+// receives each seed the moment the NRA test certifies it — typically while
+// partitions are still unloaded, which is the IRR layout's defining win —
+// and an expired so.Deadline returns the certified prefix with Partial=true
+// instead of an error. Zero options are the batch query.
+func (e *Engine) QueryIRRCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
+	h, err := e.acquireIRR()
+	if err != nil {
+		return nil, err
+	}
+	defer h.release()
+	return irrResult(irrindex.QueryMultiStreamCtx(ctx, func(int) *irrindex.Index { return h.irr }, q.internal(), so.internal()))
+}
+
+// rrResult maps an RR query's answer into the public Result.
+func rrResult(r *rrindex.QueryResult, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -666,33 +690,8 @@ func (e *Engine) QueryRRStreamCtx(ctx context.Context, q Query, so StreamOptions
 	}, nil
 }
 
-// QueryIRR answers q from the opened IRR index (Algorithm 4). Safe for
-// concurrent use; the query pins the handle it starts on, so a concurrent
-// Open/Close can neither pull the index out from under it nor make it wait.
-func (e *Engine) QueryIRR(q Query) (*Result, error) {
-	return e.QueryIRRCtx(context.Background(), q)
-}
-
-// QueryIRRCtx is QueryIRR with cancellation: ctx is checked at every
-// keyword-load and NRA partition-round boundary, so a canceled caller's
-// query stops within one partition round instead of running Algorithm 4 to
-// completion. A canceled query returns ctx.Err().
-func (e *Engine) QueryIRRCtx(ctx context.Context, q Query) (*Result, error) {
-	return e.QueryIRRStreamCtx(ctx, q, StreamOptions{})
-}
-
-// QueryIRRStreamCtx is QueryIRRCtx with anytime hooks: so.Emit receives each
-// seed the moment the NRA test certifies it — typically while partitions are
-// still unloaded, which is the IRR layout's defining win — and an expired
-// so.Deadline returns the certified prefix with Partial=true instead of an
-// error. Zero options degrade to exactly the batch path.
-func (e *Engine) QueryIRRStreamCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
-	h, err := e.acquireIRR()
-	if err != nil {
-		return nil, err
-	}
-	defer h.release()
-	r, err := h.irr.QueryStreamCtx(ctx, q.internal(), so.internal())
+// irrResult maps an IRR query's answer into the public Result.
+func irrResult(r *irrindex.QueryResult, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,15 @@
 package kbtim
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"kbtim/internal/rrindex"
+	"kbtim/internal/wris"
 )
 
 // concurrentEngine builds both indexes for the Figure 1 dataset and opens
@@ -266,7 +270,7 @@ func TestEngineQueriesProceedDuringSwap(t *testing.T) {
 	}
 	// The old handle still answers queries (pinned index semantics), and
 	// its file is still open because the in-flight reference holds it.
-	if _, err := old.rr.Query(q.internal()); err != nil {
+	if _, err := rrindex.QueryMultiStreamCtx(context.Background(), func(int) *rrindex.Index { return old.rr }, q.internal(), wris.StreamOptions{}); err != nil {
 		t.Fatalf("in-flight query lost its index mid-swap: %v", err)
 	}
 	if got := old.refs.Load(); got != 1 {
@@ -276,7 +280,7 @@ func TestEngineQueriesProceedDuringSwap(t *testing.T) {
 	if err := old.release(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := old.rr.Query(q.internal()); err == nil {
+	if _, err := rrindex.QueryMultiStreamCtx(context.Background(), func(int) *rrindex.Index { return old.rr }, q.internal(), wris.StreamOptions{}); err == nil {
 		t.Fatal("query on a fully released handle should fail (file closed)")
 	}
 

@@ -90,8 +90,8 @@ func runCtxflow(pass *Pass) error {
 // single call to its own ...Ctx sibling seeded with a fresh root
 // context:
 //
-//	func (e *Engine) QueryRR(q Query) (RRResult, error) {
-//		return e.QueryRRCtx(context.Background(), q)
+//	func (e *Engine) QueryRR(q Query) (*Result, error) {
+//		return e.QueryRRCtx(context.Background(), q, StreamOptions{})
 //	}
 //
 // The fresh root is the wrapper's whole point — it exists so callers

@@ -58,6 +58,31 @@ func query(s *store) int {
 	return s.queryCtx(context.Background(), "q")
 }
 
+// StreamOptions stands in for the anytime hooks a query's ...Ctx entry
+// point takes after its context.
+type StreamOptions struct{ Emit func(int) }
+
+func (s *store) search(q string) int {
+	return s.searchCtx(context.Background(), q, StreamOptions{})
+}
+
+// searchCtx is a Ctx sibling with an extra StreamOptions; search above is
+// its compatibility wrapper, which passes zero options and is not flagged.
+func (s *store) searchCtx(ctx context.Context, q string, so StreamOptions) int {
+	if ctx.Err() != nil {
+		return 0
+	}
+	if so.Emit != nil {
+		so.Emit(len(q))
+	}
+	return len(q)
+}
+
+// dropsStream holds a ctx but calls the wrapper instead of searchCtx.
+func dropsStream(ctx context.Context, s *store) int {
+	return s.search("q") // want "drops the ctx in scope"
+}
+
 // almostWrapper delegates to a Ctx sibling but does other work first —
 // not the sanctioned shape, so the ban applies and an allow with a
 // reason is the only way to keep it.

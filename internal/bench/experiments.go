@@ -9,8 +9,10 @@ import (
 	"kbtim/internal/codec"
 	"kbtim/internal/coverage"
 	"kbtim/internal/graph"
+	"kbtim/internal/irrindex"
 	"kbtim/internal/prop"
 	"kbtim/internal/rng"
+	"kbtim/internal/rrindex"
 	"kbtim/internal/rrset"
 	"kbtim/internal/topic"
 	"kbtim/internal/wris"
@@ -226,7 +228,7 @@ func (e *Env) runPoint(ctx context.Context, f Family, size, length, k, wrisEvery
 	evalRNG := rng.New(e.Cfg.Seed ^ 0xEA7)
 	nWRIS := 0
 	for i, q := range queries {
-		r1, qerr := rrIdx.QueryCtx(ctx, q)
+		r1, qerr := rrindex.QueryMultiStreamCtx(ctx, func(int) *rrindex.Index { return rrIdx }, q, wris.StreamOptions{})
 		if qerr != nil {
 			return rr, irr, online, qerr
 		}
@@ -234,7 +236,7 @@ func (e *Env) runPoint(ctx context.Context, f Family, size, length, k, wrisEvery
 		rr.loaded += float64(r1.NumRRSets)
 		rr.io += float64(r1.IO.Total())
 
-		r2, qerr := irrIdx.QueryCtx(ctx, q)
+		r2, qerr := irrindex.QueryMultiStreamCtx(ctx, func(int) *irrindex.Index { return irrIdx }, q, wris.StreamOptions{})
 		if qerr != nil {
 			return rr, irr, online, qerr
 		}
@@ -355,7 +357,7 @@ func Table7(ctx context.Context, w io.Writer, env *Env) error {
 				evalRNG := rng.New(env.Cfg.Seed ^ uint64(k))
 				var s float64
 				for _, q := range queries {
-					res, qerr := idx.QueryCtx(ctx, q)
+					res, qerr := rrindex.QueryMultiStreamCtx(ctx, func(int) *rrindex.Index { return idx }, q, wris.StreamOptions{})
 					if qerr != nil {
 						return qerr
 					}
@@ -465,7 +467,7 @@ func AblationPartitionSize(ctx context.Context, w io.Writer, env *Env) error {
 			}
 			var sec, io, loaded float64
 			for _, q := range queries {
-				res, qerr := idx.QueryCtx(ctx, q)
+				res, qerr := irrindex.QueryMultiStreamCtx(ctx, func(int) *irrindex.Index { return idx }, q, wris.StreamOptions{})
 				if qerr != nil {
 					return qerr
 				}
@@ -497,7 +499,7 @@ func AblationCompression(ctx context.Context, w io.Writer, env *Env) error {
 			}
 			var sec, bytes float64
 			for _, q := range queries {
-				res, qerr := idx.QueryCtx(ctx, q)
+				res, qerr := rrindex.QueryMultiStreamCtx(ctx, func(int) *rrindex.Index { return idx }, q, wris.StreamOptions{})
 				if qerr != nil {
 					return qerr
 				}

@@ -74,7 +74,8 @@ func benchQueryHandler(idx *irrindex.Index) http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		res, err := idx.Query(topic.Query{Topics: req.Topics, K: req.K})
+		res, err := irrindex.QueryMultiStreamCtx(r.Context(), func(int) *irrindex.Index { return idx },
+			topic.Query{Topics: req.Topics, K: req.K}, wris.StreamOptions{})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return
@@ -200,7 +201,7 @@ func RunRouterThroughput(ctx context.Context, env *Env, f Family) ([]RouterThrou
 		return nil, err
 	}
 	if err := addPoints("1-engine", func(q topic.Query) (*irrindex.QueryResult, error) {
-		return full.QueryCtx(ctx, q)
+		return irrindex.QueryMultiStreamCtx(ctx, func(int) *irrindex.Index { return full }, q, wris.StreamOptions{})
 	}, nil); err != nil {
 		return nil, err
 	}
@@ -222,7 +223,7 @@ func RunRouterThroughput(ctx context.Context, env *Env, f Family) ([]RouterThrou
 		return boxIdx[sm.Owner(w)]
 	}
 	if err := addPoints("2-shard box", func(q topic.Query) (*irrindex.QueryResult, error) {
-		return irrindex.QueryMultiCtx(ctx, boxOwner, q)
+		return irrindex.QueryMultiStreamCtx(ctx, boxOwner, q, wris.StreamOptions{})
 	}, nil); err != nil {
 		return nil, err
 	}
@@ -270,7 +271,7 @@ func RunRouterThroughput(ctx context.Context, env *Env, f Family) ([]RouterThrou
 	routerQuery := func(q topic.Query) (*irrindex.QueryResult, error) {
 		owners := sm.Shards(q.Topics)
 		if len(owners) > 1 {
-			return irrindex.QueryMultiCtx(ctx, remoteOwner, q)
+			return irrindex.QueryMultiStreamCtx(ctx, remoteOwner, q, wris.StreamOptions{})
 		}
 		// Co-located fast path: proxy the whole query to the owning node.
 		t0 := time.Now()

@@ -164,7 +164,9 @@ func RunThroughput(env *Env, f Family) ([]ThroughputPoint, error) {
 			if objCache != nil {
 				objBefore = objCache.Stats()
 			}
-			point, err := runClosedLoop(idx.Query, queries, workers, queriesPerWorker)
+			point, err := runClosedLoop(func(q topic.Query) (*irrindex.QueryResult, error) {
+				return irrindex.QueryMultiStreamCtx(context.Background(), func(int) *irrindex.Index { return idx }, q, wris.StreamOptions{})
+			}, queries, workers, queriesPerWorker)
 			if err != nil {
 				file.Close()
 				return nil, err
@@ -201,8 +203,8 @@ func RunThroughput(env *Env, f Family) ([]ThroughputPoint, error) {
 
 // runClosedLoop fires `workers` goroutines, each answering its share of the
 // cycled workload back to back through `query`, and aggregates wall-clock
-// throughput. The query func abstracts over one index (Index.Query) and a
-// sharded deployment (irrindex.QueryMulti behind a shardmap).
+// throughput. The query func abstracts over one index, a sharded deployment
+// (a shardmap owner) and the router arms.
 func runClosedLoop(query func(topic.Query) (*irrindex.QueryResult, error), queries []topic.Query, workers, perWorker int) (ThroughputPoint, error) {
 	var (
 		wg       sync.WaitGroup
@@ -361,11 +363,10 @@ func RunShardedThroughput(env *Env, f Family) ([]ShardedThroughputPoint, error) 
 				scattered++
 			}
 		}
-		query := func(q topic.Query) (*irrindex.QueryResult, error) {
-			return irrindex.QueryMulti(owner, q)
-		}
 		for _, workers := range shardedWorkers(env) {
-			point, err := runClosedLoop(query, queries, workers, queriesPerWorker)
+			point, err := runClosedLoop(func(q topic.Query) (*irrindex.QueryResult, error) {
+				return irrindex.QueryMultiStreamCtx(context.Background(), owner, q, wris.StreamOptions{})
+			}, queries, workers, queriesPerWorker)
 			if err != nil {
 				closeFiles()
 				return nil, err

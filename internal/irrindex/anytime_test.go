@@ -14,7 +14,7 @@ import (
 // TestQueryStreamMatchesBatch: the emitted (seed, marginal) sequence of a
 // streamed NRA query, concatenated, is byte-identical to the batch result —
 // including the zero-marginal padding tail, which funnels through the same
-// sink — on both the single-index and the sharded QueryMulti path. The
+// sink — on both the single-index and the sharded owner. The
 // running spread lower bound never decreases and lands on EstSpread.
 func TestQueryStreamMatchesBatch(t *testing.T) {
 	g := figure1(t)
@@ -29,7 +29,7 @@ func TestQueryStreamMatchesBatch(t *testing.T) {
 	for _, q := range queries {
 		runs := map[string]func(wris.StreamOptions) (*QueryResult, error){
 			"single": func(so wris.StreamOptions) (*QueryResult, error) {
-				return idx.QueryStreamCtx(context.Background(), q, so)
+				return QueryMultiStreamCtx(context.Background(), func(int) *Index { return idx }, q, so)
 			},
 			"multi": func(so wris.StreamOptions) (*QueryResult, error) {
 				return QueryMultiStreamCtx(context.Background(), ownerOf, q, so)
@@ -84,7 +84,7 @@ func TestQueryStreamDeadline(t *testing.T) {
 	_, idx := buildBoth(t, g, prof, testConfig(), 2)
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 3}
 
-	res, err := idx.QueryStreamCtx(context.Background(), q, wris.StreamOptions{
+	res, err := QueryMultiStreamCtx(context.Background(), func(int) *Index { return idx }, q, wris.StreamOptions{
 		Deadline: time.Now().Add(-time.Second),
 	})
 	if err != nil {
@@ -97,11 +97,11 @@ func TestQueryStreamDeadline(t *testing.T) {
 		t.Fatalf("expired deadline still certified seeds %v", res.Seeds)
 	}
 
-	batch, err := idx.QueryCtx(context.Background(), q)
+	batch, err := QueryMultiStreamCtx(context.Background(), func(int) *Index { return idx }, q, wris.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = idx.QueryStreamCtx(context.Background(), q, wris.StreamOptions{
+	res, err = QueryMultiStreamCtx(context.Background(), func(int) *Index { return idx }, q, wris.StreamOptions{
 		Deadline: time.Now().Add(time.Hour),
 	})
 	if err != nil {

@@ -54,13 +54,13 @@ func BenchmarkQueryAllocs(b *testing.B) {
 	idx := benchIndex(b)
 	idx.SetDecodedCache(objcache.NewSharded(32<<20, 0))
 	q := topic.Query{Topics: []int{0, 2, 4}, K: 10}
-	if _, err := idx.Query(q); err != nil { // warm the decoded cache
+	if _, err := query(idx, q); err != nil { // warm the decoded cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := idx.Query(q); err != nil {
+		if _, err := query(idx, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,7 +74,7 @@ func BenchmarkQueryAllocsUncached(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := idx.Query(q); err != nil {
+		if _, err := query(idx, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"kbtim/internal/diskio"
 	"kbtim/internal/topic"
+	"kbtim/internal/wris"
 )
 
 // gatedReader wraps a Segmented so that every read AFTER the first
@@ -69,7 +70,7 @@ func TestQueryCtxCanceledStopsWithinOneRound(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := idx.QueryCtx(ctx, topic.Query{Topics: []int{topicMusic}, K: 2})
+		res, err := QueryMultiStreamCtx(ctx, func(int) *Index { return idx }, topic.Query{Topics: []int{topicMusic}, K: 2}, wris.StreamOptions{})
 		done <- outcome{res, err}
 	}()
 
@@ -107,7 +108,7 @@ func TestQueryCtxPreCanceled(t *testing.T) {
 	g.armed.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := idx.QueryCtx(ctx, topic.Query{Topics: []int{topicMusic}, K: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := QueryMultiStreamCtx(ctx, func(int) *Index { return idx }, topic.Query{Topics: []int{topicMusic}, K: 2}, wris.StreamOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if n := g.reads.Load(); n != 0 {
@@ -130,7 +131,7 @@ func TestQueryCtxCanceledParallel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := idx.QueryCtx(ctx, topic.Query{Topics: []int{topicMusic, topicBook, topicSport}, K: 2})
+		_, err := QueryMultiStreamCtx(ctx, func(int) *Index { return idx }, topic.Query{Topics: []int{topicMusic, topicBook, topicSport}, K: 2}, wris.StreamOptions{})
 		done <- err
 	}()
 	select {

@@ -41,7 +41,7 @@ func TestQueryConcurrent(t *testing.T) {
 	}
 	baseline := make([]*QueryResult, len(queries))
 	for i, q := range queries {
-		res, err := idx.Query(q)
+		res, err := query(idx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestQueryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				qi := (g + i) % len(queries)
-				res, err := idx.Query(queries[qi])
+				res, err := query(idx, queries[qi])
 				if err != nil {
 					errc <- err
 					return
@@ -97,11 +97,11 @@ func TestQueryCachedReaderAgrees(t *testing.T) {
 	}
 
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 2}
-	want, err := plainIdx.Query(q)
+	want, err := query(plainIdx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cachedIdx.Query(q); err != nil { // warm the cache
+	if _, err := query(cachedIdx, q); err != nil { // warm the cache
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -109,7 +109,7 @@ func TestQueryCachedReaderAgrees(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := cachedIdx.Query(q)
+			res, err := query(cachedIdx, q)
 			if err != nil {
 				t.Error(err)
 				return

@@ -47,7 +47,7 @@ func TestRandomCorruptionNeverPanics(t *testing.T) {
 			if err != nil {
 				return // clean rejection
 			}
-			res, err := idx.Query(q)
+			res, err := query(idx, q)
 			if err != nil {
 				return // clean rejection
 			}
@@ -90,7 +90,7 @@ func TestTruncationSweepNeverPanics(t *testing.T) {
 			if err != nil {
 				return
 			}
-			_, _ = idx.Query(topic.Query{Topics: []int{topicMusic}, K: 1})
+			_, _ = query(idx, topic.Query{Topics: []int{topicMusic}, K: 1})
 		}()
 	}
 }

@@ -2,6 +2,7 @@ package irrindex
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"kbtim/internal/gen"
 	"kbtim/internal/objcache"
 	"kbtim/internal/prop"
+	"kbtim/internal/rrindex"
 	"kbtim/internal/topic"
 	"kbtim/internal/wris"
 )
@@ -73,11 +75,11 @@ func TestQueryParallelismParity(t *testing.T) {
 			par.SetDecodedCache(objcache.NewSharded(16<<20, 4))
 		}
 		for qi, q := range queries {
-			a, err := seq.Query(q)
+			a, err := query(seq, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := par.Query(q)
+			b, err := query(par, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +115,7 @@ func TestQueryParallelConcurrent(t *testing.T) {
 	}
 	baseline := make([]*QueryResult, len(queries))
 	for i, q := range queries {
-		if baseline[i], err = idx.Query(q); err != nil {
+		if baseline[i], err = query(idx, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +127,7 @@ func TestQueryParallelConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				qi := (g + i) % len(queries)
-				res, err := idx.Query(queries[qi])
+				res, err := query(idx, queries[qi])
 				if err != nil {
 					t.Error(err)
 					return
@@ -155,11 +157,11 @@ func TestTheorem3HoldsWithParallelism(t *testing.T) {
 		{Topics: []int{topicMusic, topicBook}, K: 3},
 		{Topics: []int{topicBook, topicSport, topicCar}, K: 5},
 	} {
-		a, err := rr.Query(q)
+		a, err := rrindex.QueryMultiStreamCtx(context.Background(), func(int) *rrindex.Index { return rr }, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := irr.Query(q)
+		b, err := query(irr, q)
 		if err != nil {
 			t.Fatal(err)
 		}

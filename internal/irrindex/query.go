@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -302,8 +303,8 @@ type partFuture struct {
 type kwState struct {
 	topicID int
 	// idx is the index owning this keyword — always the queried index for
-	// single-index queries, possibly a different shard per keyword under
-	// QueryMulti — and r is that index's per-query I/O scope. Every fetch
+	// single-index queries, possibly a different shard per keyword for a
+	// spanning owner — and r is that index's per-query I/O scope. Every fetch
 	// for this keyword goes through this pair.
 	// r is a diskio.Segmented rather than a bare scope because the batch
 	// planner reroutes remote keywords through a stash-carrying wrapper.
@@ -408,67 +409,40 @@ func (h *candHeap) pop() candidate {
 // lazy upper-bound refresh).
 func (h *candHeap) fix0() { h.down(0) }
 
-// Query answers a KB-TIM query with Algorithm 4: incremental NRA top-k
-// aggregation over the partitioned, length-sorted inverted lists, with lazy
-// upper-bound refinement, terminating each round as soon as the heap top is
-// COMPLETE and beats every unseen candidate (Σ_w kb[w]). With
-// SetQueryParallelism > 1 the IP tables and first partitions load
-// concurrently and each keyword's next partition is speculatively prefetched
-// while the current NRA round runs; all NRA state mutation stays sequential,
-// so the seed trace is identical to the sequential path.
-func (idx *Index) Query(q topic.Query) (*QueryResult, error) {
-	return QueryMulti(func(int) *Index { return idx }, q)
-}
-
-// QueryCtx is Query with cancellation: ctx is checked at every keyword-load
-// and NRA partition-round boundary (and passed to the remote fetcher, when
-// one is attached), so a canceled caller stops paying for rounds it no
-// longer wants.
-func (idx *Index) QueryCtx(ctx context.Context, q topic.Query) (*QueryResult, error) {
-	return QueryMultiCtx(ctx, func(int) *Index { return idx }, q)
-}
-
-// QueryStreamCtx is QueryCtx with anytime hooks: so.Emit receives each seed
-// the moment the NRA test certifies it — typically long before every
-// partition is loaded — and an expired so.Deadline returns the certified
-// prefix so far with Partial=true instead of an error.
-func (idx *Index) QueryStreamCtx(ctx context.Context, q topic.Query, so wris.StreamOptions) (*QueryResult, error) {
-	return QueryMultiStreamCtx(ctx, func(int) *Index { return idx }, q, so)
-}
-
-// QueryMulti answers a KB-TIM query with Algorithm 4 over a
-// keyword-partitioned set of indexes: owner(w) returns the Index holding
-// keyword w (nil = not indexed anywhere). The NRA aggregation is already
-// organized as per-keyword state advancing round by round; here each
-// keyword's state simply fetches from ITS owning index through that index's
-// per-query I/O scope. Per-keyword partitions, IP tables, and the
-// allocation plan are bit-identical however the universe is partitioned
+// QueryMultiStreamCtx answers a KB-TIM query with Algorithm 4: incremental
+// NRA top-k aggregation over the partitioned, length-sorted inverted lists,
+// with lazy upper-bound refinement, terminating each round as soon as the
+// heap top is COMPLETE and beats every unseen candidate (Σ_w kb[w]). It is
+// the package's one query entry point.
+//
+// owner(w) returns the Index holding keyword w (nil = not indexed anywhere);
+// a single index is the constant owner func(int) *Index { return idx }. The
+// NRA aggregation is organized as per-keyword state advancing round by
+// round, and each keyword's state fetches from ITS owning index through
+// that index's per-query I/O scope. Per-keyword partitions, IP tables, and
+// the allocation plan are bit-identical however the universe is partitioned
 // (sampling is seeded by topic ID alone), and all NRA state mutation stays
 // sequential in query-keyword order — so a query spanning N shard indexes
 // returns exactly the seeds, marginals, and spread a single full index
-// would. The reported IO is the sum over the involved indexes' scopes.
-func QueryMulti(owner func(topic int) *Index, q topic.Query) (*QueryResult, error) {
-	return QueryMultiCtx(context.Background(), owner, q)
-}
-
-// QueryMultiCtx is QueryMulti with cancellation: ctx is checked before every
-// keyword's IP load and at the top of every NRA partition round, so a
-// canceled query stops within one round — it never fetches another full
-// round of partitions for a client that hung up. Outstanding speculative
-// prefetches are still drained before returning (they read through this
-// query's I/O scope), so cancellation never leaks a goroutine into a
-// released index handle.
-func QueryMultiCtx(ctx context.Context, owner func(topic int) *Index, q topic.Query) (*QueryResult, error) {
-	return QueryMultiStreamCtx(ctx, owner, q, wris.StreamOptions{})
-}
-
-// QueryMultiStreamCtx is QueryMultiCtx with anytime hooks; QueryMultiCtx is
-// this function with zero options, so batch and streaming share one body and
-// parity holds by construction. so.Emit is invoked synchronously the moment
-// the NRA certification test (heap top COMPLETE with ub ≥ Σ_w kb[w]) decides
-// a seed — the defining win of the IRR layout is that this happens while
-// partitions are still unloaded — carrying the seed, its marginal, and the
-// running spread lower bound Covered/θ^Q·φ^Q of the emitted prefix. A
+// would. The reported IO is the sum over the involved indexes' scopes. With
+// SetQueryParallelism > 1 the IP tables and first partitions load
+// concurrently and each keyword's next partition is speculatively
+// prefetched while the current NRA round runs; the seed trace is identical
+// to the sequential path.
+//
+// ctx is checked before every keyword's IP load and at the top of every NRA
+// partition round, and it is passed to the remote fetcher when one is
+// attached, so a canceled query stops within one round — it never fetches
+// another full round of partitions for a client that hung up. Outstanding
+// speculative prefetches are still drained before returning (they read
+// through this query's I/O scope), so cancellation never leaks a goroutine
+// into a released index handle.
+//
+// The zero so is the batch query. so.Emit is invoked synchronously the
+// moment the NRA certification test (heap top COMPLETE with ub ≥ Σ_w kb[w])
+// decides a seed — the defining win of the IRR layout is that this happens
+// while partitions are still unloaded — carrying the seed, its marginal, and
+// the running spread lower bound Covered/θ^Q·φ^Q of the emitted prefix. A
 // non-zero so.Deadline is checked at the same partition-round boundary as
 // cancellation; once expired the loop stops and returns the certified prefix
 // with Partial=true (zero-marginal padding is skipped — padding is only
@@ -482,79 +456,30 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	if len(q.Topics) == 0 {
 		return nil, fmt.Errorf("irrindex: query needs at least one keyword")
 	}
-	// Resolve the owning indexes. The overwhelmingly common case — every
-	// keyword on ONE index (single-engine deployments, replicate shards,
-	// co-located fast paths) — is detected first so it allocates none of
-	// the multi-index bookkeeping; only genuinely spanning queries pay.
-	base := owner(q.Topics[0])
-	if base == nil {
-		return nil, fmt.Errorf("irrindex: keyword %d not indexed", q.Topics[0])
-	}
-	multi := false
-	for _, w := range q.Topics[1:] {
+	// Resolve the owning indexes. Every read goes through a per-query I/O
+	// scope, one per involved index: precise I/O accounting with no shared
+	// cursor, so concurrent queries cannot race or pollute each other's
+	// sequential/random classification.
+	at := make([]owned, len(q.Topics)) // per query keyword
+	var uniq []owned                   // distinct involved indexes, first-use order
+	for i, w := range q.Topics {
 		ix := owner(w)
 		if ix == nil {
 			return nil, fmt.Errorf("irrindex: keyword %d not indexed", w)
 		}
-		if ix != base {
-			multi = true
+		j := slices.IndexFunc(uniq, func(u owned) bool { return u.ix == ix })
+		if j < 0 {
+			j = len(uniq)
+			uniq = append(uniq, owned{ix, diskio.NewScope(ix.r)})
 		}
+		at[i] = uniq[j]
 	}
-	var (
-		idxOf  []*Index        // per-topic owner, nil when single-index
-		uniq   []*Index        // distinct involved indexes, nil when single
-		scopes []*diskio.Scope // per-query I/O scopes, parallel to uniq
-		scope0 *diskio.Scope   // the single-index scope
-	)
-	if multi {
-		idxOf = make([]*Index, len(q.Topics))
-		for i, w := range q.Topics {
-			ix := owner(w)
-			idxOf[i] = ix
-			known := false
-			for _, u := range uniq {
-				if u == ix {
-					known = true
-					break
-				}
-			}
-			if !known {
-				uniq = append(uniq, ix)
-			}
+	base := uniq[0].ix
+	for _, u := range uniq[1:] {
+		if u.ix.hdr.NumVertices != base.hdr.NumVertices || u.ix.hdr.NumTopics != base.hdr.NumTopics || u.ix.hdr.K != base.hdr.K {
+			return nil, fmt.Errorf("irrindex: shard indexes built over different datasets or caps (|V| %d vs %d, |T| %d vs %d, K %d vs %d)",
+				base.hdr.NumVertices, u.ix.hdr.NumVertices, base.hdr.NumTopics, u.ix.hdr.NumTopics, base.hdr.K, u.ix.hdr.K)
 		}
-		for _, u := range uniq[1:] {
-			if u.hdr.NumVertices != base.hdr.NumVertices || u.hdr.NumTopics != base.hdr.NumTopics || u.hdr.K != base.hdr.K {
-				return nil, fmt.Errorf("irrindex: shard indexes built over different datasets or caps (|V| %d vs %d, |T| %d vs %d, K %d vs %d)",
-					base.hdr.NumVertices, u.hdr.NumVertices, base.hdr.NumTopics, u.hdr.NumTopics, base.hdr.K, u.hdr.K)
-			}
-		}
-		// All reads go through per-query scopes (one per involved index):
-		// precise I/O accounting with no shared cursor, so concurrent
-		// queries cannot race or pollute each other's sequential/random
-		// classification.
-		scopes = make([]*diskio.Scope, len(uniq))
-		for i, u := range uniq {
-			scopes[i] = diskio.NewScope(u.r)
-		}
-	} else {
-		scope0 = diskio.NewScope(base.r)
-	}
-	idxAt := func(i int) *Index {
-		if idxOf == nil {
-			return base
-		}
-		return idxOf[i]
-	}
-	scopeAt := func(i int) *diskio.Scope {
-		if idxOf == nil {
-			return scope0
-		}
-		for j, u := range uniq {
-			if u == idxOf[i] {
-				return scopes[j]
-			}
-		}
-		return nil // unreachable: every owner is in uniq
 	}
 	// Validate BEFORE the directory lookups so an out-of-space keyword is
 	// reported as such ("outside topic space"), not as a coverage gap.
@@ -563,7 +488,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	}
 	dirOf := make([]*KeywordDir, len(q.Topics))
 	for i, w := range q.Topics {
-		if dirOf[i] = idxAt(i).dirs[w]; dirOf[i] == nil {
+		if dirOf[i] = at[i].ix.dirs[w]; dirOf[i] == nil {
 			return nil, fmt.Errorf("irrindex: keyword %d not indexed", w)
 		}
 	}
@@ -572,11 +497,9 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	if err != nil {
 		return nil, err
 	}
-	par := base.par
+	par := 0
 	for _, u := range uniq {
-		if u.par > par {
-			par = u.par
-		}
+		par = max(par, u.ix.par)
 	}
 
 	var dec decCounters
@@ -644,8 +567,8 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		phiQ += d.Phi
 		st := &kwState{
 			topicID:  w,
-			idx:      idxAt(i),
-			r:        scopeAt(i),
+			idx:      at[i].ix,
+			r:        at[i].scope,
 			dir:      d,
 			thetaQw:  alloc[w],
 			next:     0,
@@ -932,17 +855,20 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		res.PartitionsLoaded += st.fetched
 	}
 	res.EstSpread = float64(res.Covered) / float64(totalTheta) * phiQ
-	if multi {
-		for _, s := range scopes {
-			res.IO = res.IO.Add(s.Stats())
-		}
-	} else {
-		res.IO = scope0.Stats()
+	for _, u := range uniq {
+		res.IO = res.IO.Add(u.scope.Stats())
 	}
 	res.DecodedHits = dec.hits
 	res.DecodedMisses = dec.misses
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// owned pairs an index involved in one query with that query's I/O scope
+// over it.
+type owned struct {
+	ix    *Index
+	scope *diskio.Scope
 }
 
 // specLookahead is how many partitions ahead of the NRA cursor a batch

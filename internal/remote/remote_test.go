@@ -19,6 +19,7 @@ import (
 	"kbtim/internal/rrindex"
 	"kbtim/internal/shardmap"
 	"kbtim/internal/topic"
+	"kbtim/internal/wris"
 )
 
 // kbtim.Engine is the production Source implementation; pin that here so a
@@ -186,11 +187,11 @@ func TestRemoteParity(t *testing.T) {
 	c := newCluster(t, 0)
 	ctx := context.Background()
 	for _, q := range parityQueries() {
-		wantRR, err := c.rrLocal.Query(q)
+		wantRR, err := rrindex.QueryMultiStreamCtx(ctx, func(int) *rrindex.Index { return c.rrLocal }, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatalf("local rr %v: %v", q.Topics, err)
 		}
-		gotRR, err := rrindex.QueryMultiCtx(ctx, c.rrOwner, q)
+		gotRR, err := rrindex.QueryMultiStreamCtx(ctx, c.rrOwner, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatalf("remote rr %v: %v", q.Topics, err)
 		}
@@ -201,11 +202,11 @@ func TestRemoteParity(t *testing.T) {
 				gotRR.Seeds, gotRR.Marginals, gotRR.EstSpread,
 				wantRR.Seeds, wantRR.Marginals, wantRR.EstSpread)
 		}
-		wantIRR, err := c.irrLocal.Query(q)
+		wantIRR, err := irrindex.QueryMultiStreamCtx(ctx, func(int) *irrindex.Index { return c.irrLocal }, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatalf("local irr %v: %v", q.Topics, err)
 		}
-		gotIRR, err := irrindex.QueryMultiCtx(ctx, c.irrOwner, q)
+		gotIRR, err := irrindex.QueryMultiStreamCtx(ctx, c.irrOwner, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatalf("remote irr %v: %v", q.Topics, err)
 		}
@@ -232,7 +233,7 @@ func TestRemoteDecodedCacheKeepsHotArtifactsOffTheWire(t *testing.T) {
 	c := newCluster(t, 1<<20)
 	ctx := context.Background()
 	q := topic.Query{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 5}
-	first, err := irrindex.QueryMultiCtx(ctx, c.irrOwner, q)
+	first, err := irrindex.QueryMultiStreamCtx(ctx, c.irrOwner, q, wris.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestRemoteDecodedCacheKeepsHotArtifactsOffTheWire(t *testing.T) {
 	for _, cl := range c.clients {
 		fetchesAfterFirst += cl.Stats().Fetches
 	}
-	second, err := irrindex.QueryMultiCtx(ctx, c.irrOwner, q)
+	second, err := irrindex.QueryMultiStreamCtx(ctx, c.irrOwner, q, wris.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestRemoteWireBytesAccounted(t *testing.T) {
 	for _, cl := range c.clients {
 		before += cl.Stats().Bytes
 	}
-	res, err := rrindex.QueryMultiCtx(ctx, c.rrOwner, topic.Query{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 5})
+	res, err := rrindex.QueryMultiStreamCtx(ctx, c.rrOwner, topic.Query{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 5}, wris.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

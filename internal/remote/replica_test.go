@@ -21,6 +21,7 @@ import (
 	"kbtim/internal/remote"
 	"kbtim/internal/rrindex"
 	"kbtim/internal/shardmap"
+	"kbtim/internal/wris"
 )
 
 // flakyHandler fails the next `failN` requests with a 500 before passing
@@ -256,11 +257,11 @@ func TestGroupFailoverParity(t *testing.T) {
 		fh.failN.Store(4) // next 4 fetches on replica 0 of each shard fail
 	}
 	for _, q := range parityQueries() {
-		want, err := c.rrLocal.Query(q)
+		want, err := rrindex.QueryMultiStreamCtx(ctx, func(int) *rrindex.Index { return c.rrLocal }, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatalf("local rr %v: %v", q.Topics, err)
 		}
-		got, err := rrindex.QueryMultiCtx(ctx, c.rrOwner, q)
+		got, err := rrindex.QueryMultiStreamCtx(ctx, c.rrOwner, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatalf("failover rr %v: %v", q.Topics, err)
 		}
@@ -271,7 +272,7 @@ func TestGroupFailoverParity(t *testing.T) {
 				got.Seeds, got.Marginals, got.EstSpread,
 				want.Seeds, want.Marginals, want.EstSpread)
 		}
-		gotIRR, err := irrindex.QueryMultiCtx(ctx, c.irrOwner, q)
+		gotIRR, err := irrindex.QueryMultiStreamCtx(ctx, c.irrOwner, q, wris.StreamOptions{})
 		if err != nil {
 			t.Fatalf("failover irr %v: %v", q.Topics, err)
 		}

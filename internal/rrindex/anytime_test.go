@@ -14,7 +14,7 @@ import (
 
 // TestQueryStreamMatchesBatch: the emitted (seed, marginal) sequence of a
 // streamed query, concatenated, is byte-identical to the batch result, on
-// both the single-index and the sharded QueryMulti path; the running spread
+// both the single-index and the sharded owner; the running spread
 // lower bound never decreases and lands exactly on the final EstSpread.
 func TestQueryStreamMatchesBatch(t *testing.T) {
 	idx, _ := buildFigure1(t, codec.Delta, wris.SizeTheta)
@@ -27,7 +27,7 @@ func TestQueryStreamMatchesBatch(t *testing.T) {
 	for _, q := range queries {
 		runs := map[string]func(wris.StreamOptions) (*QueryResult, error){
 			"single": func(so wris.StreamOptions) (*QueryResult, error) {
-				return idx.QueryStreamCtx(context.Background(), q, so)
+				return QueryMultiStreamCtx(context.Background(), func(int) *Index { return idx }, q, so)
 			},
 			"multi": func(so wris.StreamOptions) (*QueryResult, error) {
 				return QueryMultiStreamCtx(context.Background(), ownerOf, q, so)
@@ -80,7 +80,7 @@ func TestQueryStreamDeadline(t *testing.T) {
 	idx, _ := buildFigure1(t, codec.Delta, wris.SizeTheta)
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 3}
 
-	res, err := idx.QueryStreamCtx(context.Background(), q, wris.StreamOptions{
+	res, err := QueryMultiStreamCtx(context.Background(), func(int) *Index { return idx }, q, wris.StreamOptions{
 		Deadline: time.Now().Add(-time.Second),
 	})
 	if err != nil {
@@ -93,11 +93,11 @@ func TestQueryStreamDeadline(t *testing.T) {
 		t.Fatalf("expired deadline still certified seeds %v", res.Seeds)
 	}
 
-	batch, err := idx.QueryCtx(context.Background(), q)
+	batch, err := QueryMultiStreamCtx(context.Background(), func(int) *Index { return idx }, q, wris.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = idx.QueryStreamCtx(context.Background(), q, wris.StreamOptions{
+	res, err = QueryMultiStreamCtx(context.Background(), func(int) *Index { return idx }, q, wris.StreamOptions{
 		Deadline: time.Now().Add(time.Hour),
 	})
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"kbtim/internal/diskio"
 	"kbtim/internal/prop"
 	"kbtim/internal/topic"
+	"kbtim/internal/wris"
 )
 
 // gatedReader parks every read after the first blockAfter query reads until
@@ -65,7 +66,7 @@ func TestQueryCtxCanceledAtKeywordBoundary(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := idx.QueryCtx(ctx, topic.Query{Topics: []int{topicMusic, topicBook}, K: 2})
+		_, err := QueryMultiStreamCtx(ctx, func(int) *Index { return idx }, topic.Query{Topics: []int{topicMusic, topicBook}, K: 2}, wris.StreamOptions{})
 		done <- err
 	}()
 	select {
@@ -107,7 +108,7 @@ func TestQueryCtxPreCanceled(t *testing.T) {
 	g.armed.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := idx.QueryCtx(ctx, topic.Query{Topics: []int{topicMusic}, K: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := QueryMultiStreamCtx(ctx, func(int) *Index { return idx }, topic.Query{Topics: []int{topicMusic}, K: 2}, wris.StreamOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if n := g.reads.Load(); n != 0 {

@@ -24,7 +24,7 @@ func TestQueryConcurrent(t *testing.T) {
 	}
 	baseline := make([]*QueryResult, len(queries))
 	for i, q := range queries {
-		res, err := idx.Query(q)
+		res, err := query(idx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestQueryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				qi := (g + i) % len(queries)
-				res, err := idx.Query(queries[qi])
+				res, err := query(idx, queries[qi])
 				if err != nil {
 					errc <- err
 					return
@@ -73,15 +73,15 @@ func TestQueryCachedReaderAgrees(t *testing.T) {
 	cachedIdx := reopenCached(t, idx)
 
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 2}
-	plain, err := idx.Query(q)
+	plain, err := query(idx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := cachedIdx.Query(q)
+	first, err := query(cachedIdx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := cachedIdx.Query(q)
+	second, err := query(cachedIdx, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestRandomCorruptionNeverPanics(t *testing.T) {
 			if err != nil {
 				return
 			}
-			res, err := idx.Query(q)
+			res, err := query(idx, q)
 			if err != nil {
 				return
 			}
@@ -87,7 +87,7 @@ func TestTruncationSweepNeverPanics(t *testing.T) {
 			if err != nil {
 				return
 			}
-			_, _ = idx.Query(topic.Query{Topics: []int{topicMusic}, K: 1})
+			_, _ = query(idx, topic.Query{Topics: []int{topicMusic}, K: 1})
 		}()
 	}
 }

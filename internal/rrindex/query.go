@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -297,67 +298,41 @@ type kwArtifacts struct {
 	err    error
 }
 
-// Query answers a KB-TIM query with Algorithm 2: load θ^Q_w RR sets and the
-// inverted file of every query keyword, then run greedy maximum coverage.
-// With SetQueryParallelism > 1 the per-keyword fetch+decode runs
-// concurrently (bounded), and the merge into query state stays sequential in
-// keyword order, so results are identical to the sequential path.
-func (idx *Index) Query(q topic.Query) (*QueryResult, error) {
-	return QueryMulti(func(int) *Index { return idx }, q)
-}
-
-// QueryCtx is Query with cancellation: ctx is checked at every keyword-load
-// boundary (and passed to the remote fetcher, when one is attached), so a
-// canceled caller stops paying for fetches it no longer wants.
-func (idx *Index) QueryCtx(ctx context.Context, q topic.Query) (*QueryResult, error) {
-	return QueryMultiCtx(ctx, func(int) *Index { return idx }, q)
-}
-
-// QueryStreamCtx is QueryCtx with anytime hooks: so.Emit receives each seed
-// the moment greedy selection certifies it, and an expired so.Deadline
-// returns the best certified prefix with Partial=true instead of an error.
-func (idx *Index) QueryStreamCtx(ctx context.Context, q topic.Query, so wris.StreamOptions) (*QueryResult, error) {
-	return QueryMultiStreamCtx(ctx, func(int) *Index { return idx }, q, so)
-}
-
-// QueryMulti answers a KB-TIM query with Algorithm 2 over a
-// keyword-partitioned set of indexes: owner(w) returns the Index holding
-// keyword w (nil = not indexed anywhere). Per-keyword artifacts are
-// bit-identical however the keyword universe is partitioned (each keyword's
-// sampling is seeded by the topic ID alone), the allocation plan depends
-// only on the query keywords' own directory entries, and the merge runs in
-// query-keyword order — so a query spanning N shard indexes returns exactly
-// the seeds, marginals, and spread a single full index would. Each involved
-// index reads through its own per-query I/O scope; the reported IO is their
-// sum.
-func QueryMulti(owner func(topic int) *Index, q topic.Query) (*QueryResult, error) {
-	return QueryMultiCtx(context.Background(), owner, q)
-}
-
-// QueryMultiCtx is QueryMulti with cancellation: ctx is checked before every
-// keyword's artifact load (the unit of work between checks, so cancellation
-// latency is bounded by one fetch+decode) and once more before the coverage
-// solve. A canceled query returns ctx.Err() wrapped in the usual keyword
-// error context.
-func QueryMultiCtx(ctx context.Context, owner func(topic int) *Index, q topic.Query) (*QueryResult, error) {
-	return QueryMultiStreamCtx(ctx, owner, q, wris.StreamOptions{})
-}
-
 // errDeadline marks a keyword fetch abandoned because the streaming deadline
 // expired — the anytime path's "stop now" signal, converted to a Partial
 // result (never surfaced as an error) before QueryMultiStreamCtx returns.
 var errDeadline = errors.New("rrindex: query deadline expired")
 
-// QueryMultiStreamCtx is QueryMultiCtx with anytime hooks; QueryMultiCtx is
-// this function with zero options, so the batch path and the streaming path
-// are one body and parity holds by construction. so.Emit receives each seed
-// synchronously as greedy selection certifies it, with the running spread
-// lower bound of the emitted prefix. A non-zero so.Deadline turns timeout
-// into degradation: the query checks the deadline at every keyword-load
-// boundary and before every greedy pick, and once expired returns whatever
-// prefix is certified so far with Partial=true (RR certifies nothing until
-// all artifacts are merged, so a deadline during loading yields an empty
-// Partial result).
+// QueryMultiStreamCtx answers a KB-TIM query with Algorithm 2: load θ^Q_w RR
+// sets and the inverted file of every query keyword, then run greedy maximum
+// coverage. It is the package's one query entry point.
+//
+// owner(w) returns the Index holding keyword w (nil = not indexed anywhere);
+// a single index is the constant owner func(int) *Index { return idx }.
+// Per-keyword artifacts are bit-identical however the keyword universe is
+// partitioned (each keyword's sampling is seeded by the topic ID alone), the
+// allocation plan depends only on the query keywords' own directory entries,
+// and the merge runs in query-keyword order — so a query spanning N shard
+// indexes returns exactly the seeds, marginals, and spread a single full
+// index would. Each involved index reads through its own per-query I/O
+// scope; the reported IO is their sum. With SetQueryParallelism > 1 the
+// per-keyword fetch+decode runs concurrently (bounded), and the merge into
+// query state stays sequential in keyword order, so results are identical to
+// the sequential path.
+//
+// ctx is checked before every keyword's artifact load (the unit of work
+// between checks, so cancellation latency is bounded by one fetch+decode)
+// and once more before the coverage solve, and it is passed to the remote
+// fetcher when one is attached. A canceled query returns ctx.Err() wrapped
+// in the usual keyword error context.
+//
+// The zero so is the batch query. so.Emit receives each seed synchronously
+// as greedy selection certifies it, with the running spread lower bound of
+// the emitted prefix. A non-zero so.Deadline turns timeout into degradation:
+// the query checks the deadline at every keyword-load boundary and before
+// every greedy pick, and once expired returns whatever prefix is certified
+// so far with Partial=true (RR certifies nothing until all artifacts are
+// merged, so a deadline during loading yields an empty Partial result).
 func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q topic.Query, so wris.StreamOptions) (*QueryResult, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -366,80 +341,32 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	if len(q.Topics) == 0 {
 		return nil, fmt.Errorf("rrindex: query needs at least one keyword")
 	}
-	// Resolve the owning indexes. The overwhelmingly common case — every
-	// keyword on ONE index (single-engine deployments, replicate shards,
-	// co-located fast paths) — is detected first so it allocates none of
-	// the multi-index bookkeeping; only genuinely spanning queries pay.
-	base := owner(q.Topics[0])
-	if base == nil {
-		return nil, fmt.Errorf("rrindex: keyword %d not indexed", q.Topics[0])
-	}
-	multi := false
-	for _, w := range q.Topics[1:] {
+	// Resolve the owning indexes. Every read goes through a per-query I/O
+	// scope, one per involved index: precise I/O accounting with no shared
+	// cursor, so concurrent queries cannot race or pollute each other's
+	// sequential/random classification.
+	at := make([]owned, len(q.Topics)) // per query keyword
+	var uniq []owned                   // distinct involved indexes, first-use order
+	for i, w := range q.Topics {
 		ix := owner(w)
 		if ix == nil {
 			return nil, fmt.Errorf("rrindex: keyword %d not indexed", w)
 		}
-		if ix != base {
-			multi = true
+		j := slices.IndexFunc(uniq, func(u owned) bool { return u.ix == ix })
+		if j < 0 {
+			j = len(uniq)
+			uniq = append(uniq, owned{ix, diskio.NewScope(ix.r)})
+		}
+		at[i] = uniq[j]
+	}
+	base := uniq[0].ix
+	for _, u := range uniq[1:] {
+		if u.ix.hdr.NumVertices != base.hdr.NumVertices || u.ix.hdr.NumTopics != base.hdr.NumTopics || u.ix.hdr.K != base.hdr.K {
+			return nil, fmt.Errorf("rrindex: shard indexes built over different datasets or caps (|V| %d vs %d, |T| %d vs %d, K %d vs %d)",
+				base.hdr.NumVertices, u.ix.hdr.NumVertices, base.hdr.NumTopics, u.ix.hdr.NumTopics, base.hdr.K, u.ix.hdr.K)
 		}
 	}
-	var (
-		idxOf  []*Index        // per-topic owner, nil when single-index
-		uniq   []*Index        // distinct involved indexes, nil when single
-		scopes []*diskio.Scope // per-query I/O scopes, parallel to uniq
-		scope0 *diskio.Scope   // the single-index scope
-	)
-	if multi {
-		idxOf = make([]*Index, len(q.Topics))
-		for i, w := range q.Topics {
-			ix := owner(w)
-			idxOf[i] = ix
-			known := false
-			for _, u := range uniq {
-				if u == ix {
-					known = true
-					break
-				}
-			}
-			if !known {
-				uniq = append(uniq, ix)
-			}
-		}
-		for _, u := range uniq[1:] {
-			if u.hdr.NumVertices != base.hdr.NumVertices || u.hdr.NumTopics != base.hdr.NumTopics || u.hdr.K != base.hdr.K {
-				return nil, fmt.Errorf("rrindex: shard indexes built over different datasets or caps (|V| %d vs %d, |T| %d vs %d, K %d vs %d)",
-					base.hdr.NumVertices, u.hdr.NumVertices, base.hdr.NumTopics, u.hdr.NumTopics, base.hdr.K, u.hdr.K)
-			}
-		}
-		// All reads go through per-query scopes (one per involved index):
-		// precise I/O accounting with no shared cursor, so concurrent
-		// queries cannot race or pollute each other's sequential/random
-		// classification.
-		scopes = make([]*diskio.Scope, len(uniq))
-		for i, u := range uniq {
-			scopes[i] = diskio.NewScope(u.r)
-		}
-	} else {
-		scope0 = diskio.NewScope(base.r)
-	}
-	idxAt := func(i int) *Index {
-		if idxOf == nil {
-			return base
-		}
-		return idxOf[i]
-	}
-	scopeAt := func(i int) *diskio.Scope {
-		if idxOf == nil {
-			return scope0
-		}
-		for j, u := range uniq {
-			if u == idxOf[i] {
-				return scopes[j]
-			}
-		}
-		return nil // unreachable: every owner is in uniq
-	}
+	idxAt := func(i int) *Index { return at[i].ix }
 	// Validate BEFORE the directory lookups so an out-of-space keyword is
 	// reported as such ("outside topic space"), not as a coverage gap.
 	if err := q.Validate(base.hdr.NumTopics); err != nil {
@@ -466,7 +393,7 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		stashes = planWire(ctx, q.Topics, idxAt, dirOf, alloc)
 	}
 	readerAt := func(i int) diskio.Segmented {
-		s := scopeAt(i)
+		s := at[i].scope
 		if st := stashes[idxAt(i)]; st != nil {
 			return &artifact.Stashed{Segmented: s, S: st}
 		}
@@ -509,11 +436,9 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 			a.inv, a.err = ix.invTable(ctx, r, d, &a.dec)
 		}
 	}
-	par := base.par
+	par := 0
 	for _, u := range uniq {
-		if u.par > par {
-			par = u.par
-		}
+		par = max(par, u.ix.par)
 	}
 	if par > len(q.Topics) {
 		par = len(q.Topics)
@@ -568,17 +493,9 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 		// The deadline expired while artifacts were still loading: RR-greedy
 		// certifies no seed before every keyword's sets are merged, so the
 		// best certified prefix is empty. Report what was spent and stop.
-		var io diskio.Stats
-		if multi {
-			for _, s := range scopes {
-				io = io.Add(s.Stats())
-			}
-		} else {
-			io = scope0.Stats()
-		}
 		return &QueryResult{
 			Result:        wris.Result{Elapsed: time.Since(start)},
-			IO:            io,
+			IO:            sumIO(uniq),
 			Loaded:        loaded,
 			DecodedHits:   dec.hits,
 			DecodedMisses: dec.misses,
@@ -677,14 +594,6 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 	if err != nil {
 		return nil, err
 	}
-	var io diskio.Stats
-	if multi {
-		for _, s := range scopes {
-			io = io.Add(s.Stats())
-		}
-	} else {
-		io = scope0.Stats()
-	}
 	return &QueryResult{
 		Result: wris.Result{
 			Seeds:     res.Seeds,
@@ -694,12 +603,28 @@ func QueryMultiStreamCtx(ctx context.Context, owner func(topic int) *Index, q to
 			Elapsed:   time.Since(start),
 		},
 		Marginals:     res.Marginal,
-		IO:            io,
+		IO:            sumIO(uniq),
 		Loaded:        loaded,
 		DecodedHits:   dec.hits,
 		DecodedMisses: dec.misses,
 		Partial:       res.Partial,
 	}, nil
+}
+
+// owned pairs an index involved in one query with that query's I/O scope
+// over it.
+type owned struct {
+	ix    *Index
+	scope *diskio.Scope
+}
+
+// sumIO totals a query's I/O over the scopes of every involved index.
+func sumIO(uniq []owned) diskio.Stats {
+	var io diskio.Stats
+	for _, u := range uniq {
+		io = io.Add(u.scope.Stats())
+	}
+	return io
 }
 
 // planWire is the RR query's batch round. Algorithm 2 reads exactly two

@@ -2,6 +2,7 @@ package rrindex
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -129,7 +130,7 @@ func TestQueryGuarantee(t *testing.T) {
 		{Topics: []int{topicMusic, topicBook}, K: 2},
 		{Topics: []int{topicCar, topicSport}, K: 1},
 	} {
-		res, err := idx.Query(q)
+		res, err := query(idx, q)
 		if err != nil {
 			t.Fatalf("query %v: %v", q.Topics, err)
 		}
@@ -211,11 +212,11 @@ func TestCompressionModesAgree(t *testing.T) {
 	idxRaw, statsRaw := buildFigure1(t, codec.Raw, wris.SizeTheta)
 	idxDelta, statsDelta := buildFigure1(t, codec.Delta, wris.SizeTheta)
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 2}
-	r1, err := idxRaw.Query(q)
+	r1, err := query(idxRaw, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := idxDelta.Query(q)
+	r2, err := query(idxDelta, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	counter.Reset()
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 2}
-	res, err := idx.Query(q)
+	res, err := query(idx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		return // corrupted directory — also acceptable
 	}
 	for _, w := range idx.Keywords() {
-		_, qerr := idx.Query(topic.Query{Topics: []int{w}, K: 1})
+		_, qerr := query(idx, topic.Query{Topics: []int{w}, K: 1})
 		if qerr != nil {
 			return // loudly failed, as desired
 		}
@@ -371,7 +372,7 @@ func TestMediumScaleConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := topic.Query{Topics: []int{0, 1}, K: 10}
-	fromIndex, err := idx.Query(q)
+	fromIndex, err := query(idx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,11 +420,11 @@ func TestDecodedCacheCorrectness(t *testing.T) {
 	}
 	var hits int64
 	for _, q := range queries {
-		a, err := plain.Query(q)
+		a, err := query(plain, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := cached.Query(q)
+		b, err := query(cached, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +443,7 @@ func TestDecodedCacheCorrectness(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("repeated workload produced no decoded-cache hits")
 	}
-	warm, err := cached.Query(topic.Query{Topics: []int{topicMusic, topicBook}, K: 3})
+	warm, err := query(cached, topic.Query{Topics: []int{topicMusic, topicBook}, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +461,7 @@ func TestDecodedCacheConcurrent(t *testing.T) {
 	cache := objcache.New(1 << 20)
 	idx.SetDecodedCache(cache)
 	q := topic.Query{Topics: []int{topicMusic, topicBook}, K: 3}
-	base, err := idx.Query(q)
+	base, err := query(idx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +471,7 @@ func TestDecodedCacheConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				r, err := idx.Query(q)
+				r, err := query(idx, q)
 				if err != nil {
 					t.Error(err)
 					return
@@ -486,4 +487,10 @@ func TestDecodedCacheConcurrent(t *testing.T) {
 	if s := cache.Stats(); s.Hits+s.Shared == 0 {
 		t.Fatalf("concurrent repeated workload never hit the decoded cache: %+v", s)
 	}
+}
+
+// query answers q from idx alone: the batch call of the package's one entry
+// point, with idx as the constant owner and no stream options.
+func query(idx *Index, q topic.Query) (*QueryResult, error) {
+	return QueryMultiStreamCtx(context.Background(), func(int) *Index { return idx }, q, wris.StreamOptions{})
 }

@@ -44,9 +44,15 @@
 // cache in front of the index files for repeated-keyword traffic.
 // cmd/kbtim-serve exposes an Engine over HTTP/JSON behind a bounded worker
 // pool and doubles as a closed-loop load driver. For horizontal scale on
-// one box, Sharded partitions (or replicates) the keyword universe across
-// N engines with per-shard worker pools and cache budgets, returning
-// results identical to a single engine (see DESIGN.md §6.1).
+// one box, Sharded partitions the keyword universe across N engines with
+// per-shard worker pools and cache budgets, returning results identical to
+// a single engine (see DESIGN.md §6.1).
+//
+// Engine and Sharded answer the disk-index strategies through the same two
+// calls each: QueryRRCtx / QueryIRRCtx take a context and StreamOptions
+// (zero options = a batch query; see StreamOptions for anytime emission
+// and deadlines), and QueryRR / QueryIRR are those calls with a background
+// context and zero options.
 //
 // See examples/ for runnable programs and DESIGN.md for the full mapping
 // between the paper and this repository, the index file formats, and the

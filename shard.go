@@ -24,9 +24,6 @@ const (
 	ShardHash ShardMode = "hash"
 	// ShardRange assigns contiguous topic-ID blocks to shards.
 	ShardRange ShardMode = "range"
-	// ShardReplicate gives every shard the full universe; queries are
-	// load-balanced round-robin across replicas and never scatter.
-	ShardReplicate ShardMode = "replicate"
 )
 
 func (m ShardMode) internal() (shardmap.Mode, error) {
@@ -54,15 +51,13 @@ type ShardStat struct {
 }
 
 // Sharded serves one logical keyword universe from N engine shards on one
-// box. In hash/range mode each shard's indexes cover a disjoint keyword
-// subset: a query whose topics co-locate on one shard takes the fast path
-// (that engine answers it exactly as a single-engine deployment would), and
-// a query spanning shards is answered by the exact cross-index merge
-// (rrindex/irrindex QueryMulti), which returns bit-identical seeds,
-// marginals, and spreads to a single full index — per-keyword build
+// box. Each shard's indexes cover a disjoint keyword subset, and every query
+// — whether its topics co-locate on one shard or span several — runs the
+// index packages' one entry point (rrindex/irrindex QueryMultiStreamCtx)
+// over the owning shards' indexes. That returns bit-identical seeds,
+// marginals, and spreads to a single full index: per-keyword build
 // determinism makes shard payloads equal to the full index's, and the merge
-// runs in query-keyword order. In replicate mode every shard holds the full
-// index and queries round-robin across replicas.
+// runs in query-keyword order.
 //
 // Each shard optionally has its own bounded worker pool: a query occupies
 // one slot on every shard it reads from, acquired in ascending shard order
@@ -79,7 +74,6 @@ type Sharded struct {
 	sm       *shardmap.Map
 	sems     []chan struct{} // per-shard worker pools; nil = unbounded
 	inflight []atomic.Int64
-	next     atomic.Uint64 // round-robin cursor for replicate routing
 }
 
 // NewSharded assembles a sharded deployment from per-shard engines (all
@@ -106,9 +100,9 @@ func NewSharded(engines []*Engine, mode ShardMode, perShardWorkers int) (*Sharde
 	numUsers := engines[0].ds.NumUsers()
 	for i, e := range engines[1:] {
 		if e.ds.NumTopics() != numTopics || e.ds.NumUsers() != numUsers {
-			// Guard the single-shard fast path too: QueryMulti re-checks
-			// headers on scatter, but a co-located query goes straight to
-			// one engine and would silently answer from the wrong dataset.
+			// The index entry points re-check headers only across the
+			// indexes one query touches; a co-located query touches one
+			// and would silently answer from the wrong dataset.
 			return nil, fmt.Errorf("kbtim: shard %d dataset (%d users, %d topics) differs from shard 0's (%d users, %d topics)",
 				i+1, e.ds.NumUsers(), e.ds.NumTopics(), numUsers, numTopics)
 		}
@@ -136,8 +130,7 @@ func (s *Sharded) Mode() ShardMode { return ShardMode(s.sm.Mode().String()) }
 // Shard returns shard i's engine (for hot swaps and per-shard inspection).
 func (s *Sharded) Shard(i int) *Engine { return s.engines[i] }
 
-// Owner returns the shard owning a topic (ownership is shared in replicate
-// mode; the returned shard is the deterministic default replica).
+// Owner returns the shard owning a topic.
 func (s *Sharded) Owner(topic int) int { return s.sm.Owner(topic) }
 
 // Close closes every shard engine and returns the first error.
@@ -152,7 +145,7 @@ func (s *Sharded) Close() error {
 }
 
 // IndexedKeywords returns the sorted union of every shard's queryable
-// topics (disjoint in hash/range mode, identical in replicate mode).
+// topics (disjoint across shards).
 func (s *Sharded) IndexedKeywords() []int {
 	seen := map[int]bool{}
 	var out []int
@@ -214,16 +207,6 @@ func addCacheStats(a, b diskio.CacheStats) diskio.CacheStats {
 	return a
 }
 
-// involved returns the shards a query must touch, ascending. Replicate mode
-// rotates across replicas; hash/range modes return the distinct owners of
-// the query's topics.
-func (s *Sharded) involved(topics []int) []int {
-	if s.sm.Mode() == shardmap.Replicate {
-		return []int{int(s.next.Add(1)-1) % len(s.engines)}
-	}
-	return s.sm.Shards(topics)
-}
-
 // acquire takes one worker slot on every involved shard, in ascending shard
 // order (the total order makes concurrent multi-shard acquisition
 // deadlock-free), and returns the matching release. The waits honor ctx: a
@@ -255,138 +238,89 @@ func (s *Sharded) acquire(ctx context.Context, shards []int) (func(), error) {
 	}, nil
 }
 
-// QueryRR answers q from the shards' RR indexes — fast path when one shard
-// owns every topic, exact scatter-gather merge otherwise. Results are
-// identical to a single-engine deployment over the full index.
+// QueryRR answers q from the shards' RR indexes: QueryRRCtx with no context
+// and no stream options. Results are identical to a single-engine
+// deployment over the full index.
 func (s *Sharded) QueryRR(q Query) (*Result, error) {
-	return s.QueryRRCtx(context.Background(), q)
+	return s.QueryRRCtx(context.Background(), q, StreamOptions{})
 }
 
-// QueryRRCtx is QueryRR with cancellation, honored both while waiting for
-// per-shard worker slots and at every keyword-load boundary of the query
-// itself.
-func (s *Sharded) QueryRRCtx(ctx context.Context, q Query) (*Result, error) {
-	return s.QueryRRStreamCtx(ctx, q, StreamOptions{})
-}
-
-// QueryRRStreamCtx is QueryRRCtx with anytime hooks — the fast path streams
-// from the owning engine, a spanning query streams from the exact
-// cross-index merge, with identical emissions either way.
-func (s *Sharded) QueryRRStreamCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
-	tq := q.internal()
-	shards := s.involved(tq.Topics)
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("kbtim: query needs at least one keyword")
-	}
-	release, err := s.acquire(ctx, shards)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(shards) == 1 {
-		return s.engines[shards[0]].QueryRRStreamCtx(ctx, q, so)
-	}
-	handles, done, err := s.pin(shards, (*Engine).acquireRR)
+// QueryRRCtx answers q from the owning shards' RR indexes, with
+// Engine.QueryRRCtx's cancellation and anytime semantics. ctx is also
+// honored while waiting for per-shard worker slots, and a spanning query
+// streams from the exact cross-index merge with the emissions one engine
+// would make.
+func (s *Sharded) QueryRRCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
+	handles, done, err := s.pin(ctx, q.Topics, (*Engine).acquireRR)
 	if err != nil {
 		return nil, err
 	}
 	defer done()
-	r, err := rrindex.QueryMultiStreamCtx(ctx, func(w int) *rrindex.Index {
+	return rrResult(rrindex.QueryMultiStreamCtx(ctx, func(w int) *rrindex.Index {
 		if h := handles[s.sm.Owner(w)]; h != nil {
 			return h.rr
 		}
 		return nil
-	}, tq, so.internal())
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Seeds:     r.Seeds,
-		Marginals: r.Marginals,
-		EstSpread: r.EstSpread,
-		NumRRSets: r.NumRRSets,
-		IO:        ioStats(r.IO, r.DecodedHits, r.DecodedMisses),
-		Partial:   r.Partial,
-		Elapsed:   r.Elapsed,
-	}, nil
+	}, q.internal(), so.internal()))
 }
 
-// QueryIRR answers q from the shards' IRR indexes; routing and parity
-// semantics match QueryRR's.
+// QueryIRR answers q from the shards' IRR indexes: QueryIRRCtx with no
+// context and no stream options.
 func (s *Sharded) QueryIRR(q Query) (*Result, error) {
-	return s.QueryIRRCtx(context.Background(), q)
+	return s.QueryIRRCtx(context.Background(), q, StreamOptions{})
 }
 
-// QueryIRRCtx is QueryIRR with cancellation, honored both while waiting for
-// per-shard worker slots and at every keyword-load and NRA partition-round
-// boundary of the query itself.
-func (s *Sharded) QueryIRRCtx(ctx context.Context, q Query) (*Result, error) {
-	return s.QueryIRRStreamCtx(ctx, q, StreamOptions{})
-}
-
-// QueryIRRStreamCtx is QueryIRRCtx with anytime hooks; routing matches
-// QueryRRStreamCtx's, and the NRA merge certifies (and so emits) seeds
-// before every shard's partitions are loaded, exactly as on one engine.
-func (s *Sharded) QueryIRRStreamCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
-	tq := q.internal()
-	shards := s.involved(tq.Topics)
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("kbtim: query needs at least one keyword")
-	}
-	release, err := s.acquire(ctx, shards)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if len(shards) == 1 {
-		return s.engines[shards[0]].QueryIRRStreamCtx(ctx, q, so)
-	}
-	handles, done, err := s.pin(shards, (*Engine).acquireIRR)
+// QueryIRRCtx answers q from the owning shards' IRR indexes; routing matches
+// QueryRRCtx's, and the NRA merge certifies (and so emits) seeds before
+// every shard's partitions are loaded, exactly as on one engine.
+func (s *Sharded) QueryIRRCtx(ctx context.Context, q Query, so StreamOptions) (*Result, error) {
+	handles, done, err := s.pin(ctx, q.Topics, (*Engine).acquireIRR)
 	if err != nil {
 		return nil, err
 	}
 	defer done()
-	r, err := irrindex.QueryMultiStreamCtx(ctx, func(w int) *irrindex.Index {
+	return irrResult(irrindex.QueryMultiStreamCtx(ctx, func(w int) *irrindex.Index {
 		if h := handles[s.sm.Owner(w)]; h != nil {
 			return h.irr
 		}
 		return nil
-	}, tq, so.internal())
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Seeds:            r.Seeds,
-		Marginals:        r.Marginals,
-		EstSpread:        r.EstSpread,
-		NumRRSets:        r.NumRRSets,
-		IO:               ioStats(r.IO, r.DecodedHits, r.DecodedMisses),
-		PartitionsLoaded: r.PartitionsLoaded,
-		Partial:          r.Partial,
-		Elapsed:          r.Elapsed,
-	}, nil
+	}, q.internal(), so.internal()))
 }
 
-// pin acquires the relevant index handle of every involved shard so a
-// scatter query keeps all its indexes alive for its whole duration — each
-// shard engine may be hot-swapped or closed concurrently, exactly as with
-// single-engine queries. On error every handle already pinned is released.
-func (s *Sharded) pin(shards []int, acquire func(*Engine) (*indexHandle, error)) (map[int]*indexHandle, func(), error) {
-	handles := make(map[int]*indexHandle, len(shards))
-	release := func() {
+// pin prepares one query over the shards owning topics: it takes a worker
+// slot on each (see acquire), then acquires the relevant index handle of
+// each so the query keeps all its indexes alive for its whole duration —
+// each shard engine may be hot-swapped or closed concurrently, exactly as
+// with single-engine queries. handles is indexed by shard (nil for shards
+// the query does not touch); done releases everything. On error nothing
+// stays held.
+func (s *Sharded) pin(ctx context.Context, topics []int, acquire func(*Engine) (*indexHandle, error)) (handles []*indexHandle, done func(), err error) {
+	shards := s.sm.Shards(topics)
+	if len(shards) == 0 {
+		return nil, nil, fmt.Errorf("kbtim: query needs at least one keyword")
+	}
+	releaseSlots, err := s.acquire(ctx, shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	handles = make([]*indexHandle, len(s.engines))
+	done = func() {
 		for _, h := range handles {
-			h.release()
+			if h != nil {
+				h.release()
+			}
 		}
+		releaseSlots()
 	}
 	for _, sh := range shards {
 		h, err := acquire(s.engines[sh])
 		if err != nil {
-			release()
+			done()
 			return nil, nil, err
 		}
 		handles[sh] = h
 	}
-	return handles, release, nil
+	return handles, done, nil
 }
 
 // ArtifactBytes implements the cross-node artifact-serving interface
@@ -403,8 +337,7 @@ func (s *Sharded) ArtifactBytes(kind, unit string, topic int, aux int64) ([]byte
 
 // BuildShardIndexes builds per-shard index files for a sharded deployment:
 // the engine's indexable universe is partitioned by (shards, mode) and each
-// shard's subset index is written to pathFor(shard). Replicate mode writes
-// the full index to every shard path. kind is "rr" or "irr". Shards left
+// shard's subset index is written to pathFor(shard). kind is "rr" or "irr". Shards left
 // with no keywords (possible at tiny universes under hash skew) get no file
 // and a nil report.
 func (e *Engine) BuildShardIndexes(kind string, shards int, mode ShardMode, pathFor func(shard int) string) ([]*BuildReport, error) {
@@ -450,8 +383,7 @@ func (e *Engine) BuildShardIndexes(kind string, shards int, mode ShardMode, path
 
 // ShardIndexPath returns the conventional per-shard index filename,
 // "<path>.s<shard>" — the naming contract between kbtim-build's sharded
-// output and kbtim-serve's sharded open (replicate mode serves one
-// unsuffixed file to every shard instead).
+// output and kbtim-serve's sharded open.
 func ShardIndexPath(path string, shard int) string {
 	return fmt.Sprintf("%s.s%d", path, shard)
 }
@@ -460,8 +392,7 @@ func ShardIndexPath(path string, shard int) string {
 // per-shard index files: N engines are created over ds with opts (the
 // caller splits any global cache budgets per shard beforehand), and shard i
 // opens "<path>.s<i>" for each non-empty rrPath/irrPath — the files
-// kbtim-build -shards writes — while replicate mode opens the one full
-// index at the unsuffixed path on every shard. Shards whose keyword
+// kbtim-build -shards writes. Shards whose keyword
 // partition is empty (possible when hashing a tiny universe) are left
 // indexless and are never routed to.
 //
@@ -494,24 +425,18 @@ func OpenShardedIndexes(ds *Dataset, opts Options, rrPath, irrPath string, shard
 	if err != nil {
 		return fail(err)
 	}
-	pathFor := func(path string, shard int) string {
-		if mode == ShardReplicate {
-			return path
-		}
-		return ShardIndexPath(path, shard)
-	}
 	for i, eng := range engines {
 		if len(topicsBy[i]) == 0 {
 			continue
 		}
 		if rrPath != "" {
-			p := pathFor(rrPath, i)
+			p := ShardIndexPath(rrPath, i)
 			if err := eng.OpenRRIndex(p); err != nil {
 				return fail(shardOpenErr(p, i, shards, mode, err))
 			}
 		}
 		if irrPath != "" {
-			p := pathFor(irrPath, i)
+			p := ShardIndexPath(irrPath, i)
 			if err := eng.OpenIRRIndex(p); err != nil {
 				return fail(shardOpenErr(p, i, shards, mode, err))
 			}
@@ -527,7 +452,7 @@ func OpenShardedIndexes(ds *Dataset, opts Options, rrPath, irrPath string, shard
 // shardOpenErr decorates a per-shard open failure with the likely fix when
 // the file simply is not there.
 func shardOpenErr(path string, shard, shards int, mode ShardMode, err error) error {
-	if os.IsNotExist(err) && mode != ShardReplicate {
+	if os.IsNotExist(err) {
 		return fmt.Errorf("kbtim: shard %d index %s missing (build per-shard files with kbtim-build -shards %d -shard-mode %s): %w",
 			shard, path, shards, mode, err)
 	}

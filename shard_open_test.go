@@ -79,8 +79,7 @@ func TestOpenShardedIndexesPartialFailure(t *testing.T) {
 
 // TestOpenShardedIndexesRoundTrip: the success path opens, answers, and
 // closes without leaking descriptors, and matches kbtim-build's file
-// naming end to end (replicate included: every shard opens the one full
-// file).
+// naming end to end.
 func TestOpenShardedIndexesRoundTrip(t *testing.T) {
 	ds := shardedDataset(t)
 	dir := t.TempDir()
@@ -106,35 +105,35 @@ func TestOpenShardedIndexesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []ShardMode{ShardHash, ShardReplicate} {
-		s, err := OpenShardedIndexes(ds, shardedOptions(), "", irrPath, 2, mode, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+	s, err := OpenShardedIndexes(ds, shardedOptions(), "", irrPath, 2, ShardHash, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.QueryIRR(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Seeds) != len(want.Seeds) || got.EstSpread != want.EstSpread {
+		t.Fatalf("got (%v, %v), want (%v, %v)", got.Seeds, got.EstSpread, want.Seeds, want.EstSpread)
+	}
+	for i := range got.Seeds {
+		if got.Seeds[i] != want.Seeds[i] || got.Marginals[i] != want.Marginals[i] {
+			t.Fatalf("seed/marginal %d diverged: (%d,%d) vs (%d,%d)",
+				i, got.Seeds[i], got.Marginals[i], want.Seeds[i], want.Marginals[i])
 		}
-		got, err := s.QueryIRR(q)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if len(got.Seeds) != len(want.Seeds) || got.EstSpread != want.EstSpread {
-			t.Fatalf("%s: got (%v, %v), want (%v, %v)", mode, got.Seeds, got.EstSpread, want.Seeds, want.EstSpread)
-		}
-		for i := range got.Seeds {
-			if got.Seeds[i] != want.Seeds[i] || got.Marginals[i] != want.Marginals[i] {
-				t.Fatalf("%s: seed/marginal %d diverged: (%d,%d) vs (%d,%d)",
-					mode, i, got.Seeds[i], got.Marginals[i], want.Seeds[i], want.Marginals[i])
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("%s: close: %v", mode, err)
-		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }
 
-// TestShardedReplicateRoutingUnderConcurrentClose: replicate round-robin
-// routing races Close — every query must either answer correctly or fail
-// with the closed-engine error; nothing may panic, deadlock, or return a
-// wrong answer (run under -race in CI).
-func TestShardedReplicateRoutingUnderConcurrentClose(t *testing.T) {
+// TestShardedBoundedPoolsUnderConcurrentClose: queries spanning every shard
+// race Close with bounded per-shard pools — each must either answer
+// correctly or fail with the closed-engine error, giving back every worker
+// slot and handle it had taken (a leaked slot would deadlock the 2-slot
+// pools); nothing may panic, deadlock, or return a wrong answer (run under
+// -race in CI).
+func TestShardedBoundedPoolsUnderConcurrentClose(t *testing.T) {
 	ds := shardedDataset(t)
 	dir := t.TempDir()
 	builder, err := NewEngine(ds, shardedOptions())
@@ -143,14 +142,21 @@ func TestShardedReplicateRoutingUnderConcurrentClose(t *testing.T) {
 	}
 	defer builder.Close()
 	irrPath := filepath.Join(dir, "ads.irr")
-	if _, err := builder.BuildIRRIndex(irrPath); err != nil {
+	if _, err := builder.BuildShardIndexes("irr", 3, ShardHash, func(i int) string {
+		return ShardIndexPath(irrPath, i)
+	}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenShardedIndexes(ds, shardedOptions(), "", irrPath, 3, ShardReplicate, 2)
+	s, err := OpenShardedIndexes(ds, shardedOptions(), "", irrPath, 3, ShardHash, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Topics: []int{0, 1}, K: 3}
+	// Spans all three shards, so a query can be cut between pinning one
+	// shard and the next.
+	q := Query{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 3}
+	if n := len(s.sm.Shards(q.Topics)); n != 3 {
+		t.Fatalf("query spans %d shards, want 3", n)
+	}
 	want, err := s.QueryIRR(q)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +178,7 @@ func TestShardedReplicateRoutingUnderConcurrentClose(t *testing.T) {
 					return // the deployment is closed for good; later queries only repeat this
 				}
 				if len(res.Seeds) != len(want.Seeds) || res.EstSpread != want.EstSpread {
-					t.Errorf("replicate result diverged under Close race: %v/%v", res.Seeds, res.EstSpread)
+					t.Errorf("sharded result diverged under Close race: %v/%v", res.Seeds, res.EstSpread)
 					return
 				}
 			}
@@ -201,16 +207,16 @@ func TestEngineQueryCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := Query{Topics: []int{0, 1, 2, 3, 4, 5, 6, 7}, K: 3}
-	if _, err := single.QueryIRRCtx(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, err := single.QueryIRRCtx(ctx, q, StreamOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("engine irr: got %v, want context.Canceled", err)
 	}
-	if _, err := single.QueryRRCtx(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, err := single.QueryRRCtx(ctx, q, StreamOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("engine rr: got %v, want context.Canceled", err)
 	}
-	if _, err := s.QueryIRRCtx(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, err := s.QueryIRRCtx(ctx, q, StreamOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sharded irr: got %v, want context.Canceled", err)
 	}
-	if _, err := s.QueryRRCtx(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, err := s.QueryRRCtx(ctx, q, StreamOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sharded rr: got %v, want context.Canceled", err)
 	}
 }
